@@ -41,6 +41,47 @@ class PackedString {
   }
   const std::vector<uint64_t>& words() const { return words_; }
 
+  // Sequential reader of the codes from `begin` on, one per Next(), for
+  // scans that walk the labels in order: it shifts codes out of the
+  // current word and loads the next only at a word boundary. The caller
+  // must not read past size(); the string must outlive the reader.
+  class Reader {
+   public:
+    Reader(const PackedString& labels, uint64_t begin)
+        : words_(labels.word_data()),
+          bits_(labels.bits_per_code()),
+          code_mask_((1ull << bits_) - 1) {
+      const uint64_t bit = begin * bits_;
+      word_ = bit / 64;
+      const uint32_t offset = static_cast<uint32_t>(bit % 64);
+      left_ = 64 - offset;
+      current_ = begin < labels.size() ? words_[word_] >> offset : 0;
+    }
+
+    Code Next() {
+      if (left_ >= bits_) {
+        const uint64_t code = current_ & code_mask_;
+        current_ >>= bits_;
+        left_ -= bits_;
+        return static_cast<Code>(code);
+      }
+      // The code straddles into (or starts at) the next word.
+      const uint64_t next = words_[++word_];
+      const uint64_t code = (current_ | (next << left_)) & code_mask_;
+      current_ = next >> (bits_ - left_);
+      left_ = 64 - (bits_ - left_);
+      return static_cast<Code>(code);
+    }
+
+   private:
+    const uint64_t* words_;
+    uint32_t bits_;
+    uint64_t code_mask_;
+    uint64_t word_ = 0;
+    uint64_t current_ = 0;  // unread bits of words_[word_], low first
+    uint32_t left_ = 0;     // how many bits of current_ are unread
+  };
+
   void RestoreFromWords(std::vector<uint64_t> words, uint64_t size);
   // Zero-copy restore: points at `word_count` externally owned words
   // (an mmap'd image; the caller keeps the mapping alive). The pointer

@@ -76,6 +76,9 @@ class CompactSpineIndex {
   uint64_t size() const { return codes_.size(); }
   Code CodeAt(uint64_t i) const { return codes_.Get(i); }
   char CharAt(uint64_t i) const { return alphabet_.Decode(codes_.Get(i)); }
+  // The CL array, code i on the edge i -> i+1 (core/search.h's backbone
+  // scan reads it in order).
+  const PackedString& labels() const { return codes_; }
 
   NodeId LinkDest(NodeId i) const;
   uint32_t LinkLel(NodeId i) const;

@@ -6,8 +6,9 @@
 // (plan/planner.h) allow it: the pattern splits into budget+1 pieces,
 // at least one of which any qualifying window must contain exactly
 // (pigeonhole), so exact occurrences of the pieces — located through
-// the SPINE backbone via GenericFindAll, kernel-accelerated where the
-// backend supports MatchVertebraRun — enumerate every candidate start.
+// the SPINE backbone by one GenericFindAllMulti scan serving every
+// piece, label-filtered where the backend packs its labels — enumerate
+// every candidate start.
 // Candidates (and, on the fallback path, every text window) are then
 // verified by a shared extender:
 //   - kMismatch: positional code comparison with early budget exit;
@@ -99,7 +100,7 @@ namespace approx_internal {
 // Sorted, deduplicated candidate starts from the exact occurrences of
 // each pattern piece, widened by +-shift (0 for mismatch, the edit
 // budget for edit distance: each indel before a piece moves its exact
-// occurrence by one).
+// occurrence by one). One backbone scan locates every piece.
 template <typename Index>
 std::vector<uint64_t> SeedCandidates(const Index& index,
                                      std::string_view pattern,
@@ -107,13 +108,20 @@ std::vector<uint64_t> SeedCandidates(const Index& index,
                                      uint32_t shift, uint64_t max_start,
                                      SearchStats* stats,
                                      const CancelToken* cancel) {
-  std::vector<uint64_t> starts;
   const uint32_t m = static_cast<uint32_t>(pattern.size());
+  std::vector<std::string_view> seeds(plan.piece_count);
   for (uint32_t piece = 0; piece < plan.piece_count; ++piece) {
     const auto [begin, end] =
         plan::SeedBoundaries(m, plan.piece_count, piece);
-    const std::string_view seed = pattern.substr(begin, end - begin);
-    for (const uint32_t occ : GenericFindAll(index, seed, stats, cancel)) {
+    seeds[piece] = pattern.substr(begin, end - begin);
+  }
+  const std::vector<std::vector<uint32_t>> occurrences =
+      GenericFindAllMulti(index, seeds, stats, cancel);
+  std::vector<uint64_t> starts;
+  for (uint32_t piece = 0; piece < plan.piece_count; ++piece) {
+    const uint32_t begin =
+        plan::SeedBoundaries(m, plan.piece_count, piece).first;
+    for (const uint32_t occ : occurrences[piece]) {
       const int64_t base = static_cast<int64_t>(occ) - begin;
       for (int64_t s = base - shift; s <= base + shift; ++s) {
         if (s >= 0 && s <= static_cast<int64_t>(max_start)) {

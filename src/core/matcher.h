@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <optional>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/cancel.h"
@@ -163,41 +162,26 @@ std::vector<uint32_t> GenericMatchingStatistics(
   return ms;
 }
 
+// The deferred expansion is core/search.h's backbone scan with one
+// target per match. A fired `cancel` returns an empty list.
 template <typename Index>
 std::vector<MatchOccurrences> GenericCollectAllOccurrences(
     const Index& index, const std::vector<MaximalMatch>& matches,
     const CancelToken* cancel = nullptr) {
-  std::vector<MatchOccurrences> results(matches.size());
-  std::unordered_map<NodeId, std::vector<uint32_t>> watch;
-  for (uint32_t idx = 0; idx < matches.size(); ++idx) {
-    results[idx].match = matches[idx];
-    results[idx].data_positions.push_back(matches[idx].first_end -
-                                          matches[idx].length);
-    watch[matches[idx].first_end].push_back(idx);
+  std::vector<search_internal::ScanTarget> targets;
+  targets.reserve(matches.size());
+  for (const MaximalMatch& match : matches) {
+    targets.push_back({match.first_end, match.length});
   }
-  if (matches.empty()) return results;
-  const NodeId n = static_cast<NodeId>(index.size());
-  std::vector<uint32_t> newly_matched;
-  // The other O(n) full-backbone scan (besides GenericFindAll's); same
-  // checkpoint discipline.
-  CancelCheckpoint checkpoint(cancel);
-  for (NodeId j = 1; j <= n; ++j) {
-    if (checkpoint.ShouldStop()) return {};
-    const uint32_t lel = index.LinkLel(j);
-    if (lel == 0) continue;
-    auto it = watch.find(index.LinkDest(j));
-    if (it == watch.end()) continue;
-    newly_matched.clear();
-    for (uint32_t idx : it->second) {
-      if (matches[idx].length <= lel) {
-        results[idx].data_positions.push_back(j - matches[idx].length);
-        newly_matched.push_back(idx);
-      }
-    }
-    if (!newly_matched.empty()) {
-      std::vector<uint32_t>& at_j = watch[j];
-      at_j.insert(at_j.end(), newly_matched.begin(), newly_matched.end());
-    }
+  std::vector<search_internal::ScanEnd> ends;
+  if (!search_internal::ScanOccurrenceEnds(index, targets, &ends, cancel)) {
+    return {};
+  }
+  std::vector<MatchOccurrences> results(matches.size());
+  for (size_t i = 0; i < matches.size(); ++i) results[i].match = matches[i];
+  for (const search_internal::ScanEnd& end : ends) {
+    results[end.target].data_positions.push_back(
+        end.node - matches[end.target].length);
   }
   return results;
 }

@@ -124,6 +124,9 @@ class SpineIndex {
   uint64_t size() const { return codes_.size(); }
   Code CodeAt(uint64_t i) const { return codes_.Get(i); }
   char CharAt(uint64_t i) const { return alphabet_.Decode(codes_.Get(i)); }
+  // The vertebra labels, code i on the edge i -> i+1 (core/search.h's
+  // backbone scan reads them in order).
+  const PackedString& labels() const { return codes_; }
   // Reconstructs the indexed string (the index is self-contained; the
   // original string is not retained separately).
   std::string ReconstructString() const;

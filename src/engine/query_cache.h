@@ -7,6 +7,10 @@
 // least-recently-used end until the budget holds. A capacity of zero
 // disables the cache entirely (Get always misses, Put is a no-op).
 //
+// Each entry keeps its key and its answer in one buffer, the answer
+// varint-encoded (hit positions as deltas), and is charged what it
+// really allocates (EntryBytes), so the budget bounds the cache's heap.
+//
 // Stored answers carry the SearchStats of the execution that produced
 // them; batch-level work accounting only counts executed (missed)
 // queries, so cached stats are informational.
@@ -19,6 +23,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "core/query.h"
@@ -31,7 +36,7 @@ namespace spine::engine {
 // workloads this equality check is the engine's hottest byte compare;
 // same-bucket collisions resolve at SIMD width instead of bytewise.
 struct KernelKeyEq {
-  bool operator()(const std::string& a, const std::string& b) const {
+  bool operator()(std::string_view a, std::string_view b) const {
     return kernel::VerifyEq(a, b);
   }
 };
@@ -51,9 +56,17 @@ class QueryCache {
   bool enabled() const { return capacity_ > 0; }
 
   // Returns a copy of the stored answer and refreshes its recency.
-  std::optional<QueryResult> Get(const std::string& key);
-  void Put(const std::string& key, const QueryResult& result);
+  std::optional<QueryResult> Get(std::string_view key);
+  // Stores the answer unless the key is already cached (answers are
+  // deterministic, so only its recency is refreshed then).
+  void Put(std::string_view key, const QueryResult& result);
   void Clear();
+
+  // Heap bytes the entry Put(key, result) would occupy, as a 64-bit
+  // glibc-style malloc reserves them (8-byte header, 16-byte granules,
+  // 32 bytes at least): its LRU list node, its index node and bucket
+  // slot, and its key-plus-answer buffer. This is what it is charged.
+  static uint64_t EntryBytes(std::string_view key, const QueryResult& result);
 
   struct Counters {
     uint64_t hits = 0;
@@ -69,20 +82,25 @@ class QueryCache {
 
  private:
   struct Entry {
-    std::string key;
-    QueryResult result;
+    std::string blob;  // the key, then the encoded answer
+    size_t key_size = 0;
     uint64_t bytes = 0;
+    std::string_view key() const { return {blob.data(), key_size}; }
   };
+  using KeyIndex =
+      std::unordered_map<std::string_view, std::list<Entry>::iterator,
+                         std::hash<std::string_view>, KernelKeyEq>;
 
-  static uint64_t EntryBytes(const std::string& key, const QueryResult& r);
+  static std::string Encode(std::string_view key, const QueryResult& result);
+  static QueryResult Decode(const Entry& entry);
+  static uint64_t ChargedBytes(const std::string& blob);
 
   const uint64_t capacity_;
   mutable std::mutex mu_;
-  // Front = most recently used. The map indexes into the list.
+  // Front = most recently used. The map indexes into the list, keyed by
+  // a view of each entry's own key bytes (list nodes never move).
   std::list<Entry> lru_;
-  std::unordered_map<std::string, std::list<Entry>::iterator,
-                     std::hash<std::string>, KernelKeyEq>
-      index_;
+  KeyIndex index_;
   uint64_t size_ = 0;
   Counters counters_;
 };

@@ -8,9 +8,18 @@
 // O(n*m) verification scan:
 //
 //   expected candidates per seed  ~  n / sigma^seed_len
-//   seed path cost                ~  pieces * (seed_len + E[cand] * m)
+//   seed path cost                ~  pieces * seed_len       (first ends)
+//                                    + (n - first) * c_walk  (one scan)
+//                                    + pieces * E[cand] * m  (verify)
 //   scan path cost                ~  n * m        (mismatch; edit adds
 //                                                  a band factor)
+//
+// The middle term is core/search.h's single backbone scan from the
+// earliest piece's first occurrence to node n, serving every piece;
+// c_walk is one label-window probe per node on packed backbones. It is
+// a fixed O(n) floor with a small constant, so the decision compares
+// only the expected candidates against the scan (seeds must promise
+// under n / 4 of them).
 //
 // The planner is deliberately dependency-light (no core/ includes): it
 // consumes plain numbers so the engine, the shard merger, benches and

@@ -133,6 +133,25 @@ TEST(QueryCacheTest, HitReturnsStoredAnswer) {
   QueryCache::Counters c = cache.counters();
   EXPECT_EQ(c.hits, 1u);
   EXPECT_EQ(c.misses, 1u);
+
+  // Unsorted hits (maximal-match expansions), extreme values, matching
+  // statistics and work counters survive the compact stored form.
+  QueryResult wide;
+  wide.found = true;
+  wide.hits = {{4000000000u, 7, 2}, {5, 300, 0}, {4000000000u, 1, 99999},
+               {0, 0, 0}};
+  wide.matching_stats = {0, 1, 200, 70000};
+  wide.stats.nodes_checked = 123456789012ull;
+  wide.stats.chain_hops = 7;
+  const std::string wide_key =
+      QueryCache::Key(7, Query::MaximalMatches("ACGTACGT", 2));
+  cache.Put(wide_key, wide);
+  got = cache.Get(wide_key);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_TRUE(got->SameAnswer(wide));
+  EXPECT_EQ(got->stats.nodes_checked, wide.stats.nodes_checked);
+  EXPECT_EQ(got->stats.link_traversals, 0u);
+  EXPECT_EQ(got->stats.chain_hops, 7u);
 }
 
 TEST(QueryCacheTest, KeySeparatesBackendsAndKinds) {
@@ -151,7 +170,9 @@ TEST(QueryCacheTest, EvictsLeastRecentlyUsedAndStaysCorrect) {
   const std::string a = QueryCache::Key(1, Query::FindAll("AAAA"));
   const std::string b = QueryCache::Key(1, Query::FindAll("BBBB"));
   const std::string c = QueryCache::Key(1, Query::FindAll("CCCC"));
-  const uint64_t entry_bytes = 96 + a.size() + sizeof(Hit);
+  // Equal-length keys and one answer: every entry charges the same.
+  const uint64_t entry_bytes = QueryCache::EntryBytes(a, small);
+  ASSERT_EQ(QueryCache::EntryBytes(c, small), entry_bytes);
   // Room for exactly two entries.
   QueryCache cache(2 * entry_bytes);
 

@@ -8,6 +8,7 @@
 // In the SPINE_OBS_DISABLED build flavor the capture sites compile out,
 // so the registry legitimately stays flat; those assertions skip.
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -21,6 +22,7 @@
 #include "core/query.h"
 #include "engine/query_engine.h"
 #include "obs/metrics.h"
+#include "plan/planner.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_spine.h"
 #include "storage/io_backend.h"
@@ -288,6 +290,89 @@ TEST(MetricsInvariantTest, DiskBackendCountsSameCoreWork) {
   EXPECT_EQ(delta.Counter("core.link_traversals"), expected.link_traversals);
   EXPECT_EQ(delta.Counter("core.chain_hops"), expected.chain_hops);
   EXPECT_EQ(delta.Counter("core.queries.findall"), 50u);
+  // The paged backbone keeps no packed labels: every node walked has
+  // its link consulted.
+  EXPECT_GT(delta.Counter("core.scan_nodes"), 0u);
+  EXPECT_EQ(delta.Counter("core.scan_link_tests"),
+            delta.Counter("core.scan_nodes"));
+}
+
+// (7) The backbone scan's counters equal its walk recomputed from the
+// text. core.scan_nodes counts the nodes after the earliest first
+// occurrence. core.scan_link_tests counts the nodes among them whose
+// last w labels equal the last w of some occurring pattern, where w is
+// the shortest occurring pattern's length capped at the 32 DNA labels
+// of a 64-bit word. One FindAll, then one seeded mismatch query whose
+// pieces share one pass.
+TEST(MetricsInvariantTest, ScanCountersMatchTheWalk) {
+  SPINE_SKIP_IF_OBS_DISABLED();
+  Rng rng(77);
+  std::string s = RandomDna(rng, 12000);
+  for (int copy = 0; copy < 6; ++copy) s += s.substr(rng.Below(12000), 200);
+  CompactSpineIndex index(Alphabet::Dna());
+  ASSERT_TRUE(index.AppendString(s).ok());
+
+  struct Walk {
+    uint64_t nodes = 0;
+    uint64_t link_tests = 0;
+  };
+  const auto model = [&s](const std::vector<std::string>& patterns) {
+    uint64_t first = s.size();
+    size_t w = 32;
+    std::vector<std::string> keys;
+    for (const std::string& pattern : patterns) {
+      const size_t at = s.find(pattern);
+      if (at == std::string::npos) continue;
+      first = std::min<uint64_t>(first, at + pattern.size());
+      w = std::min(w, pattern.size());
+    }
+    for (const std::string& pattern : patterns) {
+      if (s.find(pattern) != std::string::npos) {
+        keys.push_back(pattern.substr(pattern.size() - w));
+      }
+    }
+    Walk walk;
+    walk.nodes = s.size() - first;
+    for (uint64_t j = first + 1; j <= s.size(); ++j) {
+      const std::string into = s.substr(j - w, w);
+      if (std::find(keys.begin(), keys.end(), into) != keys.end()) {
+        ++walk.link_tests;
+      }
+    }
+    return walk;
+  };
+
+  const std::string repeated = s.substr(12000 + 50, 40);
+  {
+    RegistryDelta delta;
+    const QueryResult result = ExecuteQuery(index, Query::FindAll(repeated));
+    ASSERT_TRUE(result.ok());
+    ASSERT_GE(result.hits.size(), 2u);
+    const Walk walk = model({repeated});
+    EXPECT_EQ(delta.Counter("core.scan_nodes"), walk.nodes);
+    EXPECT_EQ(delta.Counter("core.scan_link_tests"), walk.link_tests);
+    EXPECT_GE(walk.link_tests, result.hits.size() - 1);
+  }
+  {
+    std::string read = s.substr(12000 + 250, 60);
+    read[30] = read[30] == 'A' ? 'C' : 'A';
+    const uint32_t m = static_cast<uint32_t>(read.size());
+    const plan::ApproxPlan plan =
+        plan::PlanApprox(index.size(), 4, m, 2, /*seedable=*/true);
+    std::vector<std::string> pieces;
+    for (uint32_t p = 0; p < plan.piece_count; ++p) {
+      const auto [begin, end] = plan::SeedBoundaries(m, plan.piece_count, p);
+      pieces.push_back(read.substr(begin, end - begin));
+    }
+    RegistryDelta delta;
+    const QueryResult result = ExecuteQuery(index, Query::Mismatch(read, 2));
+    ASSERT_TRUE(result.ok());
+    ASSERT_FALSE(result.hits.empty());
+    EXPECT_EQ(delta.Counter("approx.seeded"), 1u);
+    const Walk walk = model(pieces);
+    EXPECT_EQ(delta.Counter("core.scan_nodes"), walk.nodes);
+    EXPECT_EQ(delta.Counter("core.scan_link_tests"), walk.link_tests);
+  }
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/cancel.h"
 #include "common/rng.h"
 #include "compact/compact_spine.h"
 #include "compact/serializer.h"
@@ -96,7 +97,11 @@ TEST(RegressionTest, OnlineInterleavedAppendsAndQueries) {
 }
 
 // Three-way sweep: reference == compact == disk on random strings over
-// all three alphabets, via the shared generic search templates.
+// all three alphabets, via the shared generic search templates. The
+// reference and compact backbones take the label-filtered backbone
+// scan, the disk backbone the per-node link test; both must match the
+// oracle for patterns longer than the 64-bit label window, for
+// occurrences ending at the last node, and in multi-pattern calls.
 TEST(RegressionTest, ThreeImplementationSweep) {
   Rng rng(1234);
   const std::string letters = "ACGTWYKLMN hgt.";
@@ -120,6 +125,12 @@ TEST(RegressionTest, ThreeImplementationSweep) {
         }
       }
     }
+    // Copies of earlier stretches make long patterns recur; the last
+    // copy makes the text's suffixes recur, so occurrences end at node n.
+    for (int copy = 0; copy < 4; ++copy) {
+      const uint32_t copy_len = 64 + static_cast<uint32_t>(rng.Below(64));
+      s += s.substr(rng.Below(s.size() - copy_len), copy_len);
+    }
     SpineIndex reference(alphabet);
     CompactSpineIndex compact(alphabet);
     ASSERT_TRUE(reference.AppendString(s).ok());
@@ -139,6 +150,65 @@ TEST(RegressionTest, ThreeImplementationSweep) {
       ASSERT_EQ(GenericFindAll(compact, pattern), want);
       ASSERT_EQ(GenericFindAll(**disk, pattern), want);
     }
+    // Patterns longer than the label window (32 DNA, 12 protein, 9 ASCII
+    // codes), then suffixes of the text, which end at node n.
+    const uint32_t window = 64 / alphabet.bits_per_code();
+    std::vector<std::string> patterns;
+    for (int trial = 0; trial < 20; ++trial) {
+      const uint32_t m = window + 1 + static_cast<uint32_t>(rng.Below(40));
+      patterns.push_back(s.substr(rng.Below(s.size() - m), m));
+    }
+    for (const uint32_t m : {1u, 3u, window, window + 1, window + 17}) {
+      patterns.push_back(s.substr(s.size() - m));
+    }
+    for (const std::string& pattern : patterns) {
+      const auto want = naive::FindAllOccurrences(s, pattern);
+      ASSERT_EQ(GenericFindAll(reference, pattern), want) << pattern;
+      ASSERT_EQ(GenericFindAll(compact, pattern), want) << pattern;
+      ASSERT_EQ(GenericFindAll(**disk, pattern), want) << pattern;
+    }
+    for (size_t p = patterns.size() - 5; p < patterns.size(); ++p) {
+      const auto want = naive::FindAllOccurrences(s, patterns[p]);
+      ASSERT_GE(want.size(), 2u) << patterns[p];
+      ASSERT_EQ(want.back() + patterns[p].size(), s.size());
+    }
+    // One multi-pattern scan answers exactly like one scan per pattern,
+    // with a duplicate, an absent, an out-of-alphabet and an empty
+    // pattern mixed in; a fired token gets one empty list per pattern.
+    std::string absent;
+    do {
+      absent.clear();
+      for (uint32_t i = 0; i < window + 5; ++i) {
+        absent.push_back(s[rng.Below(s.size())]);
+      }
+    } while (!naive::FindAllOccurrences(s, absent).empty());
+    std::string foreign = s.substr(0, 4) + '\x01';
+    while (alphabet.Encode(foreign.back()) != kInvalidCode) ++foreign.back();
+    std::vector<std::string_view> batch(patterns.begin(), patterns.end());
+    batch.push_back(patterns.front());
+    batch.push_back(absent);
+    batch.push_back(foreign);
+    batch.push_back("");
+    CancelToken fired;
+    fired.Cancel();
+    const auto check_multi = [&](const auto& index) {
+      const std::vector<std::vector<uint32_t>> got =
+          GenericFindAllMulti(index, batch);
+      ASSERT_EQ(got.size(), batch.size());
+      for (size_t p = 0; p < batch.size(); ++p) {
+        ASSERT_EQ(got[p], GenericFindAll(index, batch[p])) << batch[p];
+      }
+      const std::vector<std::vector<uint32_t>> cut =
+          GenericFindAllMulti(index, batch, nullptr, &fired);
+      ASSERT_EQ(cut.size(), batch.size());
+      for (const std::vector<uint32_t>& starts : cut) {
+        ASSERT_TRUE(starts.empty());
+      }
+    };
+    check_multi(reference);
+    check_multi(compact);
+    check_multi(**disk);
+
     // Matching statistics agree across implementations.
     std::string query = s.substr(len / 3, std::min<size_t>(300, len / 2));
     auto ref_matches = GenericFindMaximalMatches(reference, query, 3);
