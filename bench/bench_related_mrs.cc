@@ -8,11 +8,11 @@
 #include <cstdio>
 #include <string>
 
-#include "align/approximate.h"
 #include "bench_util/table.h"
 #include "common/check.h"
 #include "common/timer.h"
 #include "compact/compact_spine.h"
+#include "core/query.h"
 #include "mrs/frequency_filter.h"
 #include "seq/datasets.h"
 #include "seq/generator.h"
@@ -59,7 +59,8 @@ void Run() {
     WallTimer spine_timer;
     uint64_t spine_hits = 0;
     for (const std::string& pattern : patterns) {
-      spine_hits += align::FindApproximate(spine, pattern, k).size();
+      spine_hits +=
+          ExecuteQuery(spine, Query::EditDistance(pattern, k)).hits.size();
     }
     double spine_secs = spine_timer.ElapsedSeconds();
 

@@ -11,11 +11,11 @@
 #include <string>
 #include <vector>
 
-#include "align/approximate.h"
 #include "align/hamming.h"
 #include "common/rng.h"
 #include "common/timer.h"
 #include "compact/compact_spine.h"
+#include "core/query.h"
 #include "seq/generator.h"
 
 int main(int argc, char** argv) {
@@ -91,13 +91,14 @@ int main(int argc, char** argv) {
   // The edit-distance pipeline handles indel-containing reads too.
   std::string indel_read = genome.substr(123'000, read_len);
   indel_read.erase(20, 2);  // 2-base deletion
-  auto edit_hits = align::FindApproximate(index, indel_read, 3);
+  const QueryResult edit =
+      ExecuteQuery(index, Query::EditDistance(indel_read, 3));
   std::printf("\nseed-and-extend (edits<=3) on a read with a 2 bp deletion: "
               "%zu hit(s)",
-              edit_hits.size());
-  for (size_t i = 0; i < edit_hits.size() && i < 3; ++i) {
-    std::printf("  [pos %u, %u edits]", edit_hits[i].data_pos,
-                edit_hits[i].edits);
+              edit.hits.size());
+  for (size_t i = 0; i < edit.hits.size() && i < 3; ++i) {
+    std::printf("  [pos %u, %u edits]", edit.hits[i].pos,
+                edit.hits[i].query_pos);
   }
   std::printf("\n");
   return 0;

@@ -24,7 +24,7 @@ std::optional<uint32_t> BandedEditDistance(std::string_view a,
 // Minimum edit distance between `pattern` and any prefix of `window`,
 // within max_edits; returns (edits, prefix_len) of the best (fewest
 // edits, then shortest) prefix, or nullopt. The semi-global primitive
-// behind approximate matching (align/approximate.h, mrs/).
+// behind approximate matching (core/approx.h, mrs/).
 std::optional<std::pair<uint32_t, uint32_t>> BestPrefixEditDistance(
     std::string_view pattern, std::string_view window, uint32_t max_edits);
 

@@ -1,6 +1,6 @@
 // k-mismatch (Hamming) search directly on the SPINE structure.
 //
-// Unlike the seed-and-extend pipeline (approximate.h), this walks the
+// Unlike the seed-and-extend pipeline (core/approx.h), this walks the
 // index itself: a depth-first search over the threshold-checked forward
 // edges, branching on every alphabet character and charging a mismatch
 // when the character differs from the pattern. Each complete path

@@ -54,37 +54,6 @@ struct NaiveCodeView {
   const Alphabet& alphabet() const { return *alpha; }
 };
 
-// Mirrors the observability block of core/query.h ExecuteQuery for the
-// adapter paths that do not go through it (suffix trees, CDAWG, naive):
-// per-kind query counters, Table 6 work counters, and trace notes.
-void RecordQueryObs(const Query& query, const QueryResult& result,
-                    obs::TraceContext* trace) {
-#if !defined(SPINE_OBS_DISABLED)
-  static obs::Counter* const kind_counters[kQueryKindCount] = {
-      &obs::Registry::Default().GetCounter("core.queries.contains"),
-      &obs::Registry::Default().GetCounter("core.queries.findall"),
-      &obs::Registry::Default().GetCounter("core.queries.match"),
-      &obs::Registry::Default().GetCounter("core.queries.ms"),
-      &obs::Registry::Default().GetCounter("core.queries.mismatch"),
-      &obs::Registry::Default().GetCounter("core.queries.editdist"),
-  };
-  kind_counters[static_cast<size_t>(query.kind)]->Add(1);
-  SPINE_OBS_COUNT("core.vertebra_steps", result.stats.nodes_checked);
-  SPINE_OBS_COUNT("core.link_traversals", result.stats.link_traversals);
-  SPINE_OBS_COUNT("core.chain_hops", result.stats.chain_hops);
-  if (trace != nullptr) {
-    trace->Note("nodes_checked", result.stats.nodes_checked);
-    trace->Note("link_traversals", result.stats.link_traversals);
-    trace->Note("chain_hops", result.stats.chain_hops);
-    trace->Note("found", result.found ? 1 : 0);
-  }
-#else
-  (void)query;
-  (void)result;
-  (void)trace;
-#endif
-}
-
 // One Execute implementation for both suffix-tree backends (in-memory
 // SuffixTree and paged storage::DiskSuffixTree). Matches the SPINE
 // adapters' payloads exactly: maximal matches come from the

@@ -49,8 +49,8 @@ QueryResult UnsupportedKindResult(std::string_view backend, QueryKind kind);
 
 // A kIoError result for a query admitted after the artifact's mapping
 // fence tripped (the file shrank under the mapping; see
-// storage/mmap_region.h). Shared by the mmap-opened adapters and
-// shard::ShardedIndex.
+// storage/mmap_region.h). Shared by the mmap-opened adapters and both
+// shard families.
 QueryResult MappingFenceResult(const Status& fence);
 
 class SpineIndexAdapter final : public Index {

@@ -154,9 +154,10 @@ std::vector<ApproxHit> GenericFindMismatch(
   const Alphabet& alphabet = index.alphabet();
   std::vector<Code> pcodes(m);
   for (uint32_t i = 0; i < m; ++i) pcodes[i] = alphabet.Encode(pattern[i]);
-  const std::optional<Code> sep_code =
-      separator.has_value() ? std::optional<Code>(alphabet.Encode(*separator))
-                            : std::nullopt;
+  // A plain flag and code, not an optional: GCC misreads the optional's
+  // payload as maybe-uninitialized inside the verifier loop.
+  const bool has_sep = separator.has_value();
+  const Code sep_code = alphabet.Encode(separator.value_or('\0'));
 
   const plan::ApproxPlan plan =
       plan::PlanApprox(n, alphabet.size(), m, max_mismatches,
@@ -176,7 +177,7 @@ std::vector<ApproxHit> GenericFindMismatch(
     for (uint32_t i = 0; i < m; ++i) {
       ++compared;
       const Code t = index.CodeAt(start + i);
-      if (sep_code.has_value() && t == *sep_code) return;  // crosses a doc
+      if (has_sep && t == sep_code) return;  // crosses a doc
       if (t != pcodes[i] && ++mm > max_mismatches) return;
     }
     hits.push_back({static_cast<uint32_t>(start), m, mm});
@@ -205,8 +206,7 @@ std::vector<ApproxHit> GenericFindMismatch(
 
 // All windows whose best prefix is within `max_edits` Levenshtein
 // distance of `pattern`. Each hit reports the best (fewest edits, then
-// shortest) prefix length and its edit count — align/approximate.h
-// semantics, now behind the unified Query API.
+// shortest) prefix length and its edit count.
 template <CodeAddressable Index>
 std::vector<ApproxHit> GenericFindEditDistance(
     const Index& index, std::string_view pattern, uint32_t max_edits,
@@ -226,9 +226,8 @@ std::vector<ApproxHit> GenericFindEditDistance(
     const Code code = alphabet.Encode(c);
     if (code != kInvalidCode) c = alphabet.Decode(code);
   }
-  const std::optional<Code> sep_code =
-      separator.has_value() ? std::optional<Code>(alphabet.Encode(*separator))
-                            : std::nullopt;
+  const bool has_sep = separator.has_value();
+  const Code sep_code = alphabet.Encode(separator.value_or('\0'));
 
   const plan::ApproxPlan plan = plan::PlanApprox(
       n, alphabet.size(), m, max_edits, SeedSearchable<Index>);
@@ -245,7 +244,7 @@ std::vector<ApproxHit> GenericFindEditDistance(
     const uint64_t limit = std::min<uint64_t>(start + m + max_edits, n);
     for (uint64_t i = start; i < limit; ++i) {
       const Code t = index.CodeAt(i);
-      if (sep_code.has_value() && t == *sep_code) break;  // clip at the doc
+      if (has_sep && t == sep_code) break;  // clip at the doc
       window.push_back(alphabet.Decode(t));
     }
     if (window.size() + max_edits < m) return;  // too close to the end

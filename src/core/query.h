@@ -145,6 +145,41 @@ struct QueryResult {
   }
 };
 
+// Records one answered query: its core.queries.<kind> counter, the
+// paper's Table 6 work counters accumulated across all queries and all
+// backends, and the same counters as notes on `trace`. Called once per
+// logical query by ExecuteQuery, by the adapters that answer without
+// it, and by the shard fan-out core. The per-kind counter cannot go
+// through SPINE_OBS_COUNT (the name is dynamic), so the table resolves
+// once, here.
+inline void RecordQueryObs(const Query& query, const QueryResult& result,
+                           obs::TraceContext* trace) {
+#if !defined(SPINE_OBS_DISABLED)
+  static obs::Counter* const kind_counters[kQueryKindCount] = {
+      &obs::Registry::Default().GetCounter("core.queries.contains"),
+      &obs::Registry::Default().GetCounter("core.queries.findall"),
+      &obs::Registry::Default().GetCounter("core.queries.match"),
+      &obs::Registry::Default().GetCounter("core.queries.ms"),
+      &obs::Registry::Default().GetCounter("core.queries.mismatch"),
+      &obs::Registry::Default().GetCounter("core.queries.editdist"),
+  };
+  kind_counters[static_cast<size_t>(query.kind)]->Add(1);
+  SPINE_OBS_COUNT("core.vertebra_steps", result.stats.nodes_checked);
+  SPINE_OBS_COUNT("core.link_traversals", result.stats.link_traversals);
+  SPINE_OBS_COUNT("core.chain_hops", result.stats.chain_hops);
+  if (trace != nullptr) {
+    trace->Note("nodes_checked", result.stats.nodes_checked);
+    trace->Note("link_traversals", result.stats.link_traversals);
+    trace->Note("chain_hops", result.stats.chain_hops);
+    trace->Note("found", result.found ? 1 : 0);
+  }
+#else
+  (void)query;
+  (void)result;
+  (void)trace;
+#endif
+}
+
 // Backends whose I/O layer latches errors instead of throwing/aborting
 // (storage::DiskSpine). ExecuteQuery drains the latch after running the
 // search and converts it into a per-query error result.
@@ -294,33 +329,8 @@ QueryResult ExecuteQuery(const Index& index, const Query& query,
       break;
     }
   }
-#if !defined(SPINE_OBS_DISABLED)
-  {
-    // The paper's Table 6 work counters, accumulated across all queries
-    // and all backends; work done before a latched fault still counts.
-    // The per-kind counter cannot go through SPINE_OBS_COUNT (the name
-    // is dynamic), so it resolves all kQueryKindCount once per
-    // instantiation.
-    static obs::Counter* const kind_counters[kQueryKindCount] = {
-        &obs::Registry::Default().GetCounter("core.queries.contains"),
-        &obs::Registry::Default().GetCounter("core.queries.findall"),
-        &obs::Registry::Default().GetCounter("core.queries.match"),
-        &obs::Registry::Default().GetCounter("core.queries.ms"),
-        &obs::Registry::Default().GetCounter("core.queries.mismatch"),
-        &obs::Registry::Default().GetCounter("core.queries.editdist"),
-    };
-    kind_counters[static_cast<size_t>(query.kind)]->Add(1);
-    SPINE_OBS_COUNT("core.vertebra_steps", result.stats.nodes_checked);
-    SPINE_OBS_COUNT("core.link_traversals", result.stats.link_traversals);
-    SPINE_OBS_COUNT("core.chain_hops", result.stats.chain_hops);
-    if (trace != nullptr) {
-      trace->Note("nodes_checked", result.stats.nodes_checked);
-      trace->Note("link_traversals", result.stats.link_traversals);
-      trace->Note("chain_hops", result.stats.chain_hops);
-      trace->Note("found", result.found ? 1 : 0);
-    }
-  }
-#endif
+  // Work done before a latched fault still counts.
+  RecordQueryObs(query, result, trace);
   if constexpr (IoLatchedIndex<Index>) {
     Status status = index.ConsumeError();
     if (!status.ok()) {

@@ -71,9 +71,10 @@ class FrequencyFilterIndex {
   uint64_t MemoryBytes() const { return SketchBytes() + text_.size(); }
 
   // All windows matching `pattern` within `max_edits` Levenshtein
-  // edits; same reporting convention as align::FindApproximate (best
-  // window per start position). Statistics about the filter phase are
-  // written to *frames_pruned / *candidates_verified when non-null.
+  // edits; same reporting convention as the kEditDistance query kind
+  // (best window per start position). Statistics about the filter
+  // phase are written to *frames_pruned / *candidates_verified when
+  // non-null.
   std::vector<FilterHit> FindApproximate(std::string_view pattern,
                                          uint32_t max_edits,
                                          uint64_t* frames_pruned = nullptr,

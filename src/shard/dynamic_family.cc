@@ -12,11 +12,11 @@
 #include "common/crc32c.h"
 #include "common/serde.h"
 #include "compact/generalized_compact.h"
-#include "core/approx.h"
+#include "core/adapters.h"
 #include "core/generalized_spine.h"
-#include "core/matcher.h"
-#include "core/search.h"
 #include "obs/metrics.h"
+#include "shard/fan_out.h"
+#include "shard/shard_file.h"
 #include "shard/sharded_index.h"
 #include "storage/mmap_region.h"
 
@@ -33,51 +33,6 @@ constexpr uint32_t kMaxDynamicShards = 1u << 20;
 // either could match across document boundaries.
 constexpr char kMemSeparator = GeneralizedSpineIndex::kSeparator;
 constexpr char kDiskSeparator = GeneralizedCompactSpine::kSeparator;
-
-std::string DirName(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  return slash == std::string::npos ? std::string() : path.substr(0, slash);
-}
-
-std::string BaseName(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  return slash == std::string::npos ? path : path.substr(slash + 1);
-}
-
-std::string SiblingPath(const std::string& manifest_path,
-                        const std::string& filename) {
-  const std::string dir = DirName(manifest_path);
-  return dir.empty() ? filename : dir + "/" + filename;
-}
-
-Result<std::string> ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IoError("cannot open " + path + ": " +
-                           std::strerror(errno));
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) return Status::IoError("failed reading " + path);
-  return std::move(buffer).str();
-}
-
-Result<Alphabet> AlphabetFromKindCode(uint32_t code) {
-  switch (static_cast<Alphabet::Kind>(code)) {
-    case Alphabet::Kind::kDna: return Alphabet::Dna();
-    case Alphabet::Kind::kProtein: return Alphabet::Protein();
-    case Alphabet::Kind::kByte: return Alphabet::Byte();
-    case Alphabet::Kind::kAscii: return Alphabet::Ascii();
-  }
-  return Status::Corruption("unknown alphabet kind " + std::to_string(code));
-}
-
-storage::MmapOptions MmapOptionsFrom(const core::OpenOptions& open) {
-  storage::MmapOptions options;
-  options.populate = open.populate;
-  options.hugepage = open.hugepage;
-  return options;
-}
 
 // Validates and canonicalizes one document through the user alphabet
 // (case folding etc.), so the memtable and every frozen shard index
@@ -102,38 +57,6 @@ Result<std::string> CanonicalizeDocument(const Alphabet& alphabet,
     canonical.push_back(alphabet.Decode(code));
   }
   return canonical;
-}
-
-// Mirrors RecordFamilyObs in sharded_index.cc: the lifecycle answers a
-// query with direct generic-algorithm calls across its sources, so it
-// reports the per-kind counter and aggregated work counters itself.
-void RecordLifecycleObs(const Query& query, const QueryResult& result,
-                        obs::TraceContext* trace) {
-#if !defined(SPINE_OBS_DISABLED)
-  static obs::Counter* const kind_counters[kQueryKindCount] = {
-      &obs::Registry::Default().GetCounter("core.queries.contains"),
-      &obs::Registry::Default().GetCounter("core.queries.findall"),
-      &obs::Registry::Default().GetCounter("core.queries.match"),
-      &obs::Registry::Default().GetCounter("core.queries.ms"),
-      &obs::Registry::Default().GetCounter("core.queries.mismatch"),
-      &obs::Registry::Default().GetCounter("core.queries.editdist"),
-  };
-  kind_counters[static_cast<size_t>(query.kind)]->Add(1);
-  SPINE_OBS_COUNT("lifecycle.queries", 1);
-  SPINE_OBS_COUNT("core.vertebra_steps", result.stats.nodes_checked);
-  SPINE_OBS_COUNT("core.link_traversals", result.stats.link_traversals);
-  SPINE_OBS_COUNT("core.chain_hops", result.stats.chain_hops);
-  if (trace != nullptr) {
-    trace->Note("nodes_checked", result.stats.nodes_checked);
-    trace->Note("link_traversals", result.stats.link_traversals);
-    trace->Note("chain_hops", result.stats.chain_hops);
-    trace->Note("found", result.found ? 1 : 0);
-  }
-#else
-  (void)query;
-  (void)result;
-  (void)trace;
-#endif
 }
 
 }  // namespace
@@ -164,7 +87,6 @@ struct DynamicFamily::FrozenShard {
   uint64_t file_size = 0;
   uint32_t file_crc = 0;
   std::vector<uint32_t> doc_ids;  // ascending; parallel to index strings
-  std::vector<uint64_t> starts;   // local concatenation start per document
   // Non-null when the image borrows from a mapping (mmap open): the
   // fence is checked at query admission, exactly like ShardedIndex.
   std::shared_ptr<const storage::MmapRegion> mapping;
@@ -186,19 +108,16 @@ struct DynamicFamily::Generation {
   // --- derived state (BuildDerived) ---
   struct DocRef {
     uint32_t doc_id = 0;
-    uint32_t length = 0;
-    uint64_t canonical_start = 0;  // offset in the live concatenation
-    uint32_t source = 0;           // shard index, or shards.size() = memtable
-    uint32_t local = 0;            // document index within the source
+    uint32_t source = 0;  // shard index, or shards.size() = memtable
+    uint32_t local = 0;   // document index within the source
   };
   std::vector<DocRef> live;  // ascending doc_id
-  // Per source: local doc index -> canonical start, or -1 when dead.
-  std::vector<std::vector<int64_t>> doc_map;
-  std::vector<bool> shard_dirty;     // shard holds a tombstoned doc
-  bool memtable_dirty = false;       // a visible memtable doc is tombstoned
-  std::vector<uint64_t> mem_starts;  // local start per visible memtable doc
-  std::vector<uint32_t> mem_lengths;
-  uint64_t mem_limit = 0;    // local chars covered by visible memtable docs
+  // The fan-out sources (shard/fan_out.h): every frozen shard, then the
+  // memtable when this generation sees any of it. Each live document is
+  // one run, placed at its offset in the live concatenation; a source
+  // holding a tombstoned document is dirty, and so is a memtable that
+  // grows past this generation's visible documents (its size check).
+  std::vector<Source> sources;
   uint64_t total_chars = 0;  // live concatenation size, separators included
 
   void BuildDerived();
@@ -206,55 +125,46 @@ struct DynamicFamily::Generation {
 
 void DynamicFamily::Generation::BuildDerived() {
   live.clear();
-  doc_map.assign(shards.size() + 1, {});
-  shard_dirty.assign(shards.size(), false);
-  mem_starts.clear();
-  mem_lengths.clear();
-  memtable_dirty = false;
-  mem_limit = 0;
-  const auto dead = [this](uint32_t id) {
-    return std::binary_search(tombstones.begin(), tombstones.end(), id);
-  };
-  uint64_t canonical = 0;
-  for (uint32_t s = 0; s < shards.size(); ++s) {
-    const FrozenShard& shard = *shards[s];
-    const uint64_t concat = shard.index.underlying().size();
-    doc_map[s].assign(shard.doc_ids.size(), -1);
-    for (uint32_t i = 0; i < shard.doc_ids.size(); ++i) {
-      const uint64_t end =
-          i + 1 < shard.starts.size() ? shard.starts[i + 1] : concat;
-      const uint32_t length =
-          static_cast<uint32_t>(end - shard.starts[i] - 1);
-      if (dead(shard.doc_ids[i])) {
-        shard_dirty[s] = true;
-        continue;
-      }
-      doc_map[s][i] = static_cast<int64_t>(canonical);
-      live.push_back({shard.doc_ids[i], length, canonical, s, i});
-      canonical += length + 1;
-    }
+  sources.clear();
+  size_t docs_seen = memtable != nullptr ? memtable_visible : 0;
+  for (const std::shared_ptr<const FrozenShard>& shard : shards) {
+    docs_seen += shard->doc_ids.size();
   }
-  if (memtable != nullptr && memtable_visible > 0) {
-    std::vector<int64_t>& mem_map = doc_map[shards.size()];
-    mem_map.assign(memtable_visible, -1);
-    mem_starts.reserve(memtable_visible);
-    mem_lengths.reserve(memtable_visible);
-    uint64_t local = 0;
-    for (uint32_t i = 0; i < memtable_visible; ++i) {
-      const uint32_t length = static_cast<uint32_t>(memtable->texts[i].size());
-      mem_starts.push_back(local);
-      mem_lengths.push_back(length);
-      if (dead(memtable->doc_ids[i])) {
-        memtable_dirty = true;
+  live.reserve(docs_seen);
+  sources.reserve(shards.size() + 1);
+  uint64_t canonical = 0;
+  // Appends a source whose documents have the given lengths, in local
+  // order, each followed by one separator.
+  const auto add_source = [&](auto index, char separator, uint32_t docs,
+                              const std::vector<uint32_t>& doc_ids,
+                              const auto& length_of) {
+    const uint32_t s = static_cast<uint32_t>(sources.size());
+    Source& source = sources.emplace_back();
+    source.index = index;
+    source.separator = separator;
+    source.runs.reserve(docs);
+    for (uint32_t i = 0; i < docs; ++i) {
+      const uint64_t length = length_of(i);
+      if (std::binary_search(tombstones.begin(), tombstones.end(),
+                             doc_ids[i])) {
+        source.clean = false;
       } else {
-        mem_map[i] = static_cast<int64_t>(canonical);
-        live.push_back({memtable->doc_ids[i], length, canonical,
-                        static_cast<uint32_t>(shards.size()), i});
+        source.runs.push_back({source.size, source.size + length, canonical});
+        live.push_back({doc_ids[i], s, i});
         canonical += length + 1;
       }
-      local += length + 1;
+      source.size += length + 1;
     }
-    mem_limit = local;
+  };
+  for (const std::shared_ptr<const FrozenShard>& shard : shards) {
+    add_source(&shard->index.underlying(), kDiskSeparator,
+               static_cast<uint32_t>(shard->doc_ids.size()), shard->doc_ids,
+               [&](uint32_t i) { return shard->index.StringLength(i); });
+  }
+  if (memtable != nullptr && memtable_visible > 0) {
+    add_source(&memtable->index.underlying(), kMemSeparator, memtable_visible,
+               memtable->doc_ids,
+               [&](uint32_t i) { return memtable->texts[i].size(); });
   }
   total_chars = canonical;
 }
@@ -293,286 +203,37 @@ class DynamicFamily::Snapshot final : public core::Index {
   std::shared_ptr<const Generation> generation_;
 };
 
-// --- query merge -----------------------------------------------------------
+// --- queries ---------------------------------------------------------------
 
 QueryResult DynamicFamily::ExecuteOnGeneration(const Generation& gen,
                                                const Query& query,
                                                obs::TraceContext* trace,
                                                const CancelToken* cancel) {
-#if defined(SPINE_OBS_DISABLED)
-  trace = nullptr;
-#endif
-  obs::SpanTimer exec_timer(trace, "exec_us");
-  QueryResult result;
-
+  SPINE_OBS_COUNT("lifecycle.queries", 1);
   // A reserved separator byte could match across document boundaries —
   // composition-dependent nonsense — so it is rejected, never answered.
   for (const char c : query.pattern) {
     if (c == kMemSeparator || c == kDiskSeparator) {
-      result.status_code = StatusCode::kInvalidArgument;
-      result.error = "pattern contains a reserved separator byte";
-      RecordLifecycleObs(query, result, trace);
-      return result;
+      QueryResult rejected;
+      rejected.status_code = StatusCode::kInvalidArgument;
+      rejected.error = "pattern contains a reserved separator byte";
+      return rejected;
     }
   }
-
   // Length fence before touching mapped shard bytes (docs/STORAGE.md).
   for (const std::shared_ptr<const FrozenShard>& shard : gen.shards) {
     if (shard->mapping != nullptr) {
       Status fence = shard->mapping->CheckFence();
-      if (!fence.ok()) {
-        result.status_code = fence.code();
-        result.error = std::string(fence.message());
-        RecordLifecycleObs(query, result, trace);
-        return result;
-      }
+      if (!fence.ok()) return core::MappingFenceResult(fence);
     }
   }
-
-  // Empty patterns get core/query.h ExecuteQuery's verdicts (contains
-  // trivially true, everything else empty) so the differential oracle
-  // agrees byte-for-byte.
-  if (query.pattern.empty()) {
-    result.found = query.kind == QueryKind::kContains;
-    RecordLifecycleObs(query, result, trace);
-    return result;
-  }
-
-  // One shared lock covers every memtable read below: one query sees
-  // one memtable state even while the writer appends concurrently.
-  const bool use_memtable = gen.memtable != nullptr && gen.memtable_visible > 0;
+  // One shared lock covers every memtable read: one query sees one
+  // memtable state even while the writer appends concurrently.
   std::shared_lock<std::shared_mutex> memtable_lock;
-  bool mem_clean = false;
-  if (use_memtable) {
+  if (gen.memtable != nullptr) {
     memtable_lock = std::shared_lock<std::shared_mutex>(gen.memtable->mu);
-    mem_clean = gen.memtable->index.string_count() == gen.memtable_visible &&
-                !gen.memtable_dirty;
   }
-  const uint32_t shard_count = static_cast<uint32_t>(gen.shards.size());
-  const uint32_t source_count = shard_count + (use_memtable ? 1 : 0);
-  bool any_dirty = use_memtable && !mem_clean;
-  for (uint32_t s = 0; s < shard_count; ++s) {
-    if (gen.shard_dirty[s]) any_dirty = true;
-  }
-
-  // Maps a local position in source `s` to its offset in the live
-  // concatenation; -1 when the position lies in a dead or invisible
-  // document (or on a separator, unreachable for valid patterns).
-  const auto canonical_of = [&gen, shard_count,
-                             use_memtable](uint32_t s, uint64_t pos) -> int64_t {
-    if (s < shard_count) {
-      const FrozenShard& shard = *gen.shards[s];
-      const auto it =
-          std::upper_bound(shard.starts.begin(), shard.starts.end(), pos);
-      const uint32_t doc =
-          static_cast<uint32_t>(it - shard.starts.begin()) - 1;
-      const uint64_t offset = pos - shard.starts[doc];
-      const uint64_t end = doc + 1 < shard.starts.size()
-                               ? shard.starts[doc + 1]
-                               : shard.index.underlying().size();
-      if (offset >= end - shard.starts[doc] - 1) return -1;
-      const int64_t base = gen.doc_map[s][doc];
-      return base < 0 ? -1 : base + static_cast<int64_t>(offset);
-    }
-    if (!use_memtable || pos >= gen.mem_limit) return -1;
-    const auto it =
-        std::upper_bound(gen.mem_starts.begin(), gen.mem_starts.end(), pos);
-    const uint32_t doc = static_cast<uint32_t>(it - gen.mem_starts.begin()) - 1;
-    const uint64_t offset = pos - gen.mem_starts[doc];
-    if (offset >= gen.mem_lengths[doc]) return -1;
-    const int64_t base = gen.doc_map[shard_count][doc];
-    return base < 0 ? -1 : base + static_cast<int64_t>(offset);
-  };
-
-  const auto find_all_in = [&](uint32_t s, std::string_view pattern) {
-    return s < shard_count
-               ? GenericFindAll(gen.shards[s]->index.underlying(), pattern,
-                                &result.stats, cancel)
-               : GenericFindAll(gen.memtable->index.underlying(), pattern,
-                                &result.stats, cancel);
-  };
-
-  // All live occurrences of `pattern`, as ascending canonical offsets.
-  const auto live_positions = [&](std::string_view pattern) {
-    std::vector<int64_t> positions;
-    for (uint32_t s = 0; s < source_count; ++s) {
-      for (const uint32_t pos : find_all_in(s, pattern)) {
-        const int64_t mapped = canonical_of(s, pos);
-        if (mapped >= 0) positions.push_back(mapped);
-      }
-    }
-    std::sort(positions.begin(), positions.end());
-    return positions;
-  };
-
-  const auto live_contains = [&](std::string_view pattern) -> bool {
-    for (uint32_t s = 0; s < source_count; ++s) {
-      const bool clean = s < shard_count ? !gen.shard_dirty[s] : mem_clean;
-      if (clean) {
-        const bool found =
-            s < shard_count
-                ? GenericFindFirstEnd(gen.shards[s]->index.underlying(),
-                                      pattern, &result.stats, cancel)
-                      .has_value()
-                : GenericFindFirstEnd(gen.memtable->index.underlying(),
-                                      pattern, &result.stats, cancel)
-                      .has_value();
-        if (found) return true;
-      } else {
-        // A dirty source can only vouch for occurrences that map live.
-        for (const uint32_t pos : find_all_in(s, pattern)) {
-          if (canonical_of(s, pos) >= 0) return true;
-        }
-      }
-    }
-    return false;
-  };
-
-  // Matching statistics over the live collection. All-clean sources
-  // merge by elementwise max (substring occurrence over a union
-  // distributes); any dirty source falls back to the incremental scan,
-  // correct because ms[q+1] >= ms[q] - 1 holds over any string set, so
-  // the window only ever grows by one probe per extension.
-  const auto merged_ms = [&]() {
-    const uint32_t m = static_cast<uint32_t>(query.pattern.size());
-    std::vector<uint32_t> ms(m, 0);
-    if (!any_dirty) {
-      for (uint32_t s = 0; s < source_count; ++s) {
-        const std::vector<uint32_t> one =
-            s < shard_count
-                ? GenericMatchingStatistics(gen.shards[s]->index.underlying(),
-                                            query.pattern, &result.stats,
-                                            cancel)
-                : GenericMatchingStatistics(gen.memtable->index.underlying(),
-                                            query.pattern, &result.stats,
-                                            cancel);
-        for (uint32_t q = 0; q < m; ++q) ms[q] = std::max(ms[q], one[q]);
-      }
-      return ms;
-    }
-    CancelCheckpoint checkpoint(cancel);
-    uint32_t z = 0;
-    for (uint32_t q = 0; q < m; ++q) {
-      if (checkpoint.ShouldStop()) return ms;
-      if (z > 0) --z;
-      while (q + z < m && live_contains(std::string_view(query.pattern)
-                                            .substr(q, z + 1))) {
-        ++z;
-      }
-      ms[q] = z;
-    }
-    return ms;
-  };
-
-  const uint32_t m = static_cast<uint32_t>(query.pattern.size());
-  switch (query.kind) {
-    case QueryKind::kContains:
-      result.found = live_contains(query.pattern);
-      break;
-    case QueryKind::kFindAll: {
-      for (const int64_t pos : live_positions(query.pattern)) {
-        result.hits.push_back({static_cast<uint32_t>(pos), m, 0});
-      }
-      result.found = !result.hits.empty();
-      break;
-    }
-    case QueryKind::kMatchingStats: {
-      result.matching_stats = merged_ms();
-      result.found =
-          std::any_of(result.matching_stats.begin(),
-                      result.matching_stats.end(),
-                      [](uint32_t v) { return v > 0; });
-      break;
-    }
-    case QueryKind::kMaximalMatches: {
-      const uint32_t min_len = std::max<uint32_t>(query.min_len, 1);
-      const std::vector<uint32_t> ms = merged_ms();
-      for (uint32_t q = 0; q < ms.size(); ++q) {
-        if (ms[q] < min_len) continue;
-        // ms[q-1] can exceed ms[q] only by one; when it does, this
-        // match is a suffix of the previous one and is not maximal.
-        if (q > 0 && ms[q - 1] > ms[q]) continue;
-        const std::string_view sub =
-            std::string_view(query.pattern).substr(q, ms[q]);
-        const std::vector<int64_t> positions = live_positions(sub);
-        if (positions.empty()) continue;  // only under a fired token
-        if (query.expand_occurrences) {
-          for (const int64_t pos : positions) {
-            result.hits.push_back({static_cast<uint32_t>(pos), ms[q], q});
-          }
-        } else {
-          result.hits.push_back(
-              {static_cast<uint32_t>(positions.front()), ms[q], q});
-        }
-      }
-      result.found = !result.hits.empty();
-      break;
-    }
-    case QueryKind::kMismatch:
-    case QueryKind::kEditDistance: {
-      // Per-source core/approx.h generics with the source's separator:
-      // no window crosses a document boundary, and documents are
-      // atomically live or dead, so mapping the window's start suffices
-      // to decide liveness of the whole window.
-      ApproxSearchStats family_stats;
-      struct MappedHit {
-        int64_t pos;
-        ApproxHit hit;
-        bool operator<(const MappedHit& o) const { return pos < o.pos; }
-      };
-      std::vector<MappedHit> mapped;
-      for (uint32_t s = 0; s < source_count; ++s) {
-        const char separator = s < shard_count ? kDiskSeparator : kMemSeparator;
-        ApproxSearchStats source_stats;
-        const auto run = [&](const auto& underlying) {
-          return query.kind == QueryKind::kMismatch
-                     ? GenericFindMismatch(underlying, query.pattern,
-                                           query.max_errors, &result.stats,
-                                           &source_stats, cancel, separator)
-                     : GenericFindEditDistance(underlying, query.pattern,
-                                               query.max_errors, &result.stats,
-                                               &source_stats, cancel,
-                                               separator);
-        };
-        const std::vector<ApproxHit> hits =
-            s < shard_count ? run(gen.shards[s]->index.underlying())
-                            : run(gen.memtable->index.underlying());
-        for (const ApproxHit& hit : hits) {
-          const int64_t pos = canonical_of(s, hit.pos);
-          if (pos >= 0) mapped.push_back({pos, hit});
-        }
-        family_stats.candidates += source_stats.candidates;
-        family_stats.seeded = family_stats.seeded || source_stats.seeded;
-        family_stats.seed_len =
-            std::max(family_stats.seed_len, source_stats.seed_len);
-      }
-      std::sort(mapped.begin(), mapped.end());
-      for (const MappedHit& entry : mapped) {
-        result.hits.push_back({static_cast<uint32_t>(entry.pos),
-                               entry.hit.length, entry.hit.errors});
-      }
-      result.found = !result.hits.empty();
-      family_stats.verified = result.hits.size();
-      RecordApproxObs(family_stats);
-      break;
-    }
-  }
-
-  // A fired token trumps whatever partial payload the abandoned walks
-  // left behind — never reported as kOk.
-  if (cancel != nullptr) {
-    Status status = cancel->ToStatus();
-    if (!status.ok()) {
-      QueryResult stopped;
-      stopped.stats = result.stats;  // work done before the stop counts
-      stopped.status_code = status.code();
-      stopped.error = std::string(status.message());
-      RecordLifecycleObs(query, stopped, trace);
-      return stopped;
-    }
-  }
-  RecordLifecycleObs(query, result, trace);
-  return result;
+  return ExecuteFanOut(gen.sources, query, trace, cancel);
 }
 
 // --- construction / open ---------------------------------------------------
@@ -726,7 +387,6 @@ uint64_t DynamicFamily::GenerationMemoryBytes(const Generation& gen) {
   for (const std::shared_ptr<const FrozenShard>& shard : gen.shards) {
     total += shard->index.underlying().MemoryBytes();
     total += shard->doc_ids.size() * sizeof(uint32_t);
-    total += shard->starts.size() * sizeof(uint64_t);
   }
   if (gen.memtable != nullptr) {
     std::shared_lock<std::shared_mutex> lock(gen.memtable->mu);
@@ -734,6 +394,9 @@ uint64_t DynamicFamily::GenerationMemoryBytes(const Generation& gen) {
     total += gen.memtable->chars;
   }
   total += gen.live.size() * sizeof(Generation::DocRef);
+  for (const Source& source : gen.sources) {
+    total += source.runs.size() * sizeof(SourceRun);
+  }
   return total;
 }
 
@@ -974,12 +637,6 @@ DynamicFamily::WriteShard(uint64_t version,
   shard->file_size = bytes->size();
   shard->file_crc = Crc32c(bytes->data(), bytes->size());
   shard->doc_ids = doc_ids;
-  shard->starts.reserve(texts.size());
-  uint64_t start = 0;
-  for (const std::string& text : texts) {
-    shard->starts.push_back(start);
-    start += text.size() + 1;
-  }
   return std::shared_ptr<const FrozenShard>(std::move(shard));
 }
 
@@ -1139,46 +796,14 @@ DynamicFamily::LoadGeneration(const std::string& path, const Options& options,
   generation->next_doc_id = next_doc_id;
   generation->tombstones = std::move(tombstones);
   for (ShardMeta& meta : metas) {
-    const std::string full = SiblingPath(path, meta.filename);
-    std::shared_ptr<const storage::MmapRegion> mapping;
-    const auto load_image = [&]() -> Result<GeneralizedCompactSpine> {
-      if (options.open.mode == core::OpenMode::kMmap) {
-        Result<std::shared_ptr<storage::MmapRegion>> region =
-            storage::MmapRegion::MapShared(full,
-                                           MmapOptionsFrom(options.open));
-        if (!region.ok()) return region.status();
-        if ((*region)->size() != meta.file_size) {
-          return Status::Corruption("shard " + meta.filename +
-                                    " size disagrees with the manifest");
-        }
-        if (options.open.verify &&
-            Crc32c((*region)->data(), (*region)->size()) != meta.file_crc) {
-          return Status::Corruption("shard " + meta.filename +
-                                    " checksum mismatch");
-        }
-        mapping = *region;
-        return GeneralizedCompactSpine::LoadFromMemory(
-            (*region)->data(), (*region)->size(), options.open.verify,
-            *std::move(region));
-      }
-      Result<std::string> bytes = ReadFileBytes(full);
-      if (!bytes.ok()) return bytes.status();
-      if (bytes->size() != meta.file_size) {
-        return Status::Corruption("shard " + meta.filename +
-                                  " size disagrees with the manifest");
-      }
-      if (Crc32c(bytes->data(), bytes->size()) != meta.file_crc) {
-        return Status::Corruption("shard " + meta.filename +
-                                  " checksum mismatch");
-      }
-      // new[] guarantees max_align; LoadFromMemory needs 8-aligned data
-      // which a std::string's buffer does not promise.
-      std::shared_ptr<uint8_t[]> buffer(new uint8_t[bytes->size()]);
-      std::memcpy(buffer.get(), bytes->data(), bytes->size());
-      return GeneralizedCompactSpine::LoadFromMemory(
-          buffer.get(), bytes->size(), /*verify=*/true, buffer);
-    };
-    Result<GeneralizedCompactSpine> image = load_image();
+    Result<ShardImage> bytes = OpenShardImage(
+        SiblingPath(path, meta.filename), meta.file_size, meta.file_crc,
+        options.open);
+    if (!bytes.ok()) return bytes.status();
+    Result<GeneralizedCompactSpine> image =
+        GeneralizedCompactSpine::LoadFromMemory(bytes->data, bytes->size,
+                                                bytes->verify,
+                                                bytes->keepalive);
     if (!image.ok()) return image.status();
     if (image->string_count() != meta.doc_ids.size()) {
       return Status::Corruption("shard " + meta.filename +
@@ -1193,13 +818,7 @@ DynamicFamily::LoadGeneration(const std::string& path, const Options& options,
     shard->file_size = meta.file_size;
     shard->file_crc = meta.file_crc;
     shard->doc_ids = std::move(meta.doc_ids);
-    shard->mapping = std::move(mapping);
-    shard->starts.reserve(shard->doc_ids.size());
-    uint64_t start = 0;
-    for (uint32_t i = 0; i < shard->doc_ids.size(); ++i) {
-      shard->starts.push_back(start);
-      start += shard->index.StringLength(i) + 1;
-    }
+    shard->mapping = std::move(bytes->mapping);
     generation->shards.push_back(std::move(shard));
   }
   generation->BuildDerived();

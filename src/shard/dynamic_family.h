@@ -49,10 +49,13 @@
 // over the same documents answers through ExecuteQuery on its
 // underlying index (the differential oracle in
 // tests/lifecycle_differential_test.cc). Hit positions are offsets
-// into that virtual concatenation. Patterns containing a reserved
-// separator byte ('\n' or '\x1f') are rejected with kInvalidArgument —
-// they could otherwise match across document boundaries, which is
-// composition-dependent nonsense — and never answered silently wrong.
+// into that virtual concatenation. Queries run through the fan-out
+// core (shard/fan_out.h): every frozen shard, then the memtable, is a
+// source whose runs are its live visible documents. Patterns
+// containing a reserved separator byte ('\n' or '\x1f') are rejected
+// with kInvalidArgument — they could otherwise match across document
+// boundaries, which is composition-dependent nonsense — and never
+// answered silently wrong.
 
 #ifndef SPINE_SHARD_DYNAMIC_FAMILY_H_
 #define SPINE_SHARD_DYNAMIC_FAMILY_H_

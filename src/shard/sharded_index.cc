@@ -4,18 +4,15 @@
 #include <cerrno>
 #include <cstring>
 #include <fstream>
-#include <limits>
-#include <sstream>
 #include <utility>
 
 #include "common/crc32c.h"
 #include "common/serde.h"
 #include "compact/serializer.h"
-#include "core/approx.h"
-#include "core/matcher.h"
-#include "core/search.h"
+#include "core/adapters.h"
 #include "engine/thread_pool.h"
 #include "obs/metrics.h"
+#include "shard/shard_file.h"
 
 namespace spine::shard {
 
@@ -23,71 +20,6 @@ namespace {
 
 // Backstop against corrupt manifests claiming absurd shard counts.
 constexpr uint32_t kMaxShards = 1u << 20;
-
-std::string DirName(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  return slash == std::string::npos ? std::string() : path.substr(0, slash);
-}
-
-std::string BaseName(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  return slash == std::string::npos ? path : path.substr(slash + 1);
-}
-
-Result<std::string> ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IoError("cannot open " + path + ": " +
-                           std::strerror(errno));
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) return Status::IoError("failed reading " + path);
-  return std::move(buffer).str();
-}
-
-Result<Alphabet> AlphabetFromKindCode(uint32_t code) {
-  switch (static_cast<Alphabet::Kind>(code)) {
-    case Alphabet::Kind::kDna: return Alphabet::Dna();
-    case Alphabet::Kind::kProtein: return Alphabet::Protein();
-    case Alphabet::Kind::kByte: return Alphabet::Byte();
-    case Alphabet::Kind::kAscii: return Alphabet::Ascii();
-  }
-  return Status::Corruption("unknown alphabet kind " + std::to_string(code));
-}
-
-// Mirrors the observability block of core/query.h ExecuteQuery: the
-// family answers a query with direct generic-algorithm calls (never
-// per-shard ExecuteQuery, which would count one logical query K
-// times), so it reports the per-kind counter and aggregated work
-// counters itself.
-void RecordFamilyObs(const Query& query, const QueryResult& result,
-                     obs::TraceContext* trace) {
-#if !defined(SPINE_OBS_DISABLED)
-  static obs::Counter* const kind_counters[kQueryKindCount] = {
-      &obs::Registry::Default().GetCounter("core.queries.contains"),
-      &obs::Registry::Default().GetCounter("core.queries.findall"),
-      &obs::Registry::Default().GetCounter("core.queries.match"),
-      &obs::Registry::Default().GetCounter("core.queries.ms"),
-      &obs::Registry::Default().GetCounter("core.queries.mismatch"),
-      &obs::Registry::Default().GetCounter("core.queries.editdist"),
-  };
-  kind_counters[static_cast<size_t>(query.kind)]->Add(1);
-  SPINE_OBS_COUNT("core.vertebra_steps", result.stats.nodes_checked);
-  SPINE_OBS_COUNT("core.link_traversals", result.stats.link_traversals);
-  SPINE_OBS_COUNT("core.chain_hops", result.stats.chain_hops);
-  if (trace != nullptr) {
-    trace->Note("nodes_checked", result.stats.nodes_checked);
-    trace->Note("link_traversals", result.stats.link_traversals);
-    trace->Note("chain_hops", result.stats.chain_hops);
-    trace->Note("found", result.found ? 1 : 0);
-  }
-#else
-  (void)query;
-  (void)result;
-  (void)trace;
-#endif
-}
 
 }  // namespace
 
@@ -142,48 +74,45 @@ Result<std::unique_ptr<ShardedIndex>> ShardedIndex::Build(
                                             std::string(statuses[i].message()));
     }
   }
+  family->BuildSources();
   return family;
+}
+
+void ShardedIndex::BuildSources() {
+  sources_.reserve(shards_.size());
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    // One run: the core range at its offset. The overlap margin only
+    // repeats the next shard's text, so every shard is clean.
+    const ShardInfo& info = infos_[i];
+    sources_.push_back(
+        {.index = &shards_[i],
+         .runs = {{0, info.core_end - info.core_start, info.core_start}},
+         .size = shards_[i].size(),
+         .separator = std::nullopt});
+  }
 }
 
 QueryResult ShardedIndex::Execute(const Query& query,
                                   obs::TraceContext* trace,
                                   const CancelToken* cancel) const {
-#if defined(SPINE_OBS_DISABLED)
-  trace = nullptr;
-#endif
-  obs::SpanTimer exec_timer(trace, "exec_us");
   // Mapped families fence first: a shrunk shard file must surface as a
   // clean kIoError, never as a SIGBUS inside a walk.
-  {
-    Status fence = CheckMappingFence();
-    if (!fence.ok()) {
-      QueryResult failed;
-      failed.status_code = fence.code();
-      failed.error = std::string(fence.message());
-      return failed;
-    }
-  }
-  const bool approx_kind = query.kind == QueryKind::kMismatch ||
-                           query.kind == QueryKind::kEditDistance;
-  // Degenerate approximate queries (empty pattern, budget >= pattern
-  // length) are vacuously empty by core/query.h contract — answered
-  // before admission, since they name no window that could straddle a
-  // boundary.
-  if (approx_kind && (query.pattern.empty() ||
-                      query.max_errors >= query.pattern.size())) {
-    QueryResult empty;
-    RecordFamilyObs(query, empty, trace);
-    return empty;
-  }
+  Status fence = CheckMappingFence();
+  if (!fence.ok()) return core::MappingFenceResult(fence);
   // Admission: a longer pattern could straddle a shard boundary without
   // any shard seeing it whole, for every query kind (matching
   // statistics are only exact while no match can exceed the margin).
   // An edit-distance window can run max_errors characters past the
-  // pattern length (insertions), so the margin must cover that too.
+  // pattern length (insertions), so the margin must cover that too. An
+  // approximate budget at or past the pattern length names no window
+  // (core/query.h answers it empty), so it is never rejected.
+  const bool approx_kind = query.kind == QueryKind::kMismatch ||
+                           query.kind == QueryKind::kEditDistance;
   const uint64_t window_len =
       query.pattern.size() +
       (query.kind == QueryKind::kEditDistance ? query.max_errors : 0);
-  if (window_len > max_pattern_) {
+  if (window_len > max_pattern_ &&
+      !(approx_kind && query.max_errors >= query.pattern.size())) {
     QueryResult rejected;
     rejected.status_code = StatusCode::kInvalidArgument;
     rejected.error = "query window length " + std::to_string(window_len) +
@@ -201,194 +130,7 @@ QueryResult ShardedIndex::Execute(const Query& query,
   }
   if (trace != nullptr) trace->Note("shard_fanout", shard_count());
 #endif
-  QueryResult result;
-  switch (query.kind) {
-    case QueryKind::kContains:
-      result = ExecuteContains(query, cancel);
-      break;
-    case QueryKind::kFindAll:
-      result = ExecuteFindAll(query, cancel);
-      break;
-    case QueryKind::kMaximalMatches:
-      result = ExecuteMaximalMatches(query, cancel);
-      break;
-    case QueryKind::kMatchingStats:
-      result = ExecuteMatchingStats(query, cancel);
-      break;
-    case QueryKind::kMismatch:
-    case QueryKind::kEditDistance:
-      result = ExecuteApprox(query, cancel);
-      break;
-  }
-  RecordFamilyObs(query, result, trace);
-  // A fired token invalidates whatever partial merge the walks left.
-  if (cancel != nullptr) {
-    Status status = cancel->ToStatus();
-    if (!status.ok()) {
-      QueryResult timed_out;
-      timed_out.stats = result.stats;
-      timed_out.status_code = status.code();
-      timed_out.error = std::string(status.message());
-      return timed_out;
-    }
-  }
-  return result;
-}
-
-QueryResult ShardedIndex::ExecuteContains(const Query& query,
-                                          const CancelToken* cancel) const {
-  QueryResult result;
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    // Warm the next shard's root Link Table line while this shard
-    // walks; shards are probed strictly in order on the miss path.
-    if (i + 1 < shards_.size()) shards_[i + 1].PrefetchNode(kRootNode);
-    if (GenericFindFirstEnd(shards_[i], query.pattern, &result.stats, cancel)
-            .has_value()) {
-      result.found = true;
-      break;
-    }
-  }
-  return result;
-}
-
-QueryResult ShardedIndex::ExecuteFindAll(const Query& query,
-                                         const CancelToken* cancel) const {
-  QueryResult result;
-  if (!query.pattern.empty()) {
-    const uint32_t m = static_cast<uint32_t>(query.pattern.size());
-    std::vector<std::vector<uint32_t>> local(shards_.size());
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      local[i] =
-          GenericFindAll(shards_[i], query.pattern, &result.stats, cancel);
-    }
-    SPINE_OBS_SCOPED_TIMER_US("shard.merge_us");
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      for (uint32_t pos : local[i]) {
-        // Keep an occurrence only in the shard whose core range owns
-        // its start; overlap copies are the next shard's problem.
-        const uint64_t global = infos_[i].core_start + pos;
-        if (global < infos_[i].core_end) {
-          result.hits.push_back({static_cast<uint32_t>(global), m, 0});
-        }
-      }
-    }
-  }
-  result.found = !result.hits.empty();
-  return result;
-}
-
-std::vector<uint32_t> ShardedIndex::MergedMatchingStats(
-    std::string_view pattern, SearchStats* stats,
-    const CancelToken* cancel) const {
-  std::vector<uint32_t> merged(pattern.size(), 0);
-  for (const CompactSpineIndex& shard : shards_) {
-    const std::vector<uint32_t> local =
-        GenericMatchingStatistics(shard, pattern, stats, cancel);
-    for (size_t q = 0; q < merged.size(); ++q) {
-      merged[q] = std::max(merged[q], local[q]);
-    }
-  }
-  return merged;
-}
-
-QueryResult ShardedIndex::ExecuteMatchingStats(
-    const Query& query, const CancelToken* cancel) const {
-  QueryResult result;
-  result.matching_stats =
-      MergedMatchingStats(query.pattern, &result.stats, cancel);
-  {
-    SPINE_OBS_SCOPED_TIMER_US("shard.merge_us");
-    result.found = std::any_of(result.matching_stats.begin(),
-                               result.matching_stats.end(),
-                               [](uint32_t v) { return v > 0; });
-  }
-  return result;
-}
-
-QueryResult ShardedIndex::ExecuteMaximalMatches(
-    const Query& query, const CancelToken* cancel) const {
-  const uint32_t min_len = std::max<uint32_t>(query.min_len, 1);
-  const std::string_view pattern = query.pattern;
-  QueryResult result;
-  // Since no match can exceed the admitted pattern length (<= margin),
-  // the merged statistics equal the monolithic ones, and the maximal
-  // matches are exactly the positions where ms[q] >= min_len and
-  // ms[q-1] <= ms[q] (see core/matcher.h).
-  const std::vector<uint32_t> ms =
-      MergedMatchingStats(pattern, &result.stats, cancel);
-  SPINE_OBS_SCOPED_TIMER_US("shard.merge_us");
-  CancelCheckpoint checkpoint(cancel);
-  for (uint32_t q = 0; q < ms.size(); ++q) {
-    if (checkpoint.ShouldStop()) break;
-    const uint32_t len = ms[q];
-    if (len < min_len) continue;
-    if (q > 0 && ms[q - 1] > len) continue;  // inside an earlier match
-    const std::string_view sub = pattern.substr(q, len);
-    if (query.expand_occurrences) {
-      for (size_t i = 0; i < shards_.size(); ++i) {
-        for (uint32_t pos :
-             GenericFindAll(shards_[i], sub, &result.stats, cancel)) {
-          const uint64_t global = infos_[i].core_start + pos;
-          if (global < infos_[i].core_end) {
-            result.hits.push_back({static_cast<uint32_t>(global), len, q});
-          }
-        }
-      }
-    } else {
-      uint32_t first = std::numeric_limits<uint32_t>::max();
-      for (size_t i = 0; i < shards_.size(); ++i) {
-        const std::optional<NodeId> end =
-            GenericFindFirstEnd(shards_[i], sub, &result.stats, cancel);
-        if (end.has_value()) {
-          first = std::min(
-              first, static_cast<uint32_t>(infos_[i].core_start + *end - len));
-        }
-      }
-      if (first == std::numeric_limits<uint32_t>::max()) continue;
-      result.hits.push_back({first, len, q});
-    }
-  }
-  result.found = !result.hits.empty();
-  return result;
-}
-
-QueryResult ShardedIndex::ExecuteApprox(const Query& query,
-                                        const CancelToken* cancel) const {
-  QueryResult result;
-  // Admission guarantees a window starting in shard i's core range lies
-  // entirely inside slice i, so per-shard hits kept by the ownership
-  // filter were verified on complete windows — identical to the
-  // monolithic answer.
-  ApproxSearchStats family_stats;
-  std::vector<std::vector<ApproxHit>> local(shards_.size());
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    ApproxSearchStats shard_stats;
-    local[i] = query.kind == QueryKind::kMismatch
-                   ? GenericFindMismatch(shards_[i], query.pattern,
-                                         query.max_errors, &result.stats,
-                                         &shard_stats, cancel)
-                   : GenericFindEditDistance(shards_[i], query.pattern,
-                                             query.max_errors, &result.stats,
-                                             &shard_stats, cancel);
-    family_stats.candidates += shard_stats.candidates;
-    family_stats.seeded = family_stats.seeded || shard_stats.seeded;
-    family_stats.seed_len =
-        std::max(family_stats.seed_len, shard_stats.seed_len);
-  }
-  SPINE_OBS_SCOPED_TIMER_US("shard.merge_us");
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    for (const ApproxHit& hit : local[i]) {
-      const uint64_t global = infos_[i].core_start + hit.pos;
-      if (global < infos_[i].core_end) {
-        result.hits.push_back(
-            {static_cast<uint32_t>(global), hit.length, hit.errors});
-      }
-    }
-  }
-  result.found = !result.hits.empty();
-  family_stats.verified = result.hits.size();
-  RecordApproxObs(family_stats);
-  return result;
+  return ExecuteFanOut(sources_, query, trace, cancel);
 }
 
 Status ShardedIndex::CheckMappingFence() const {
@@ -451,7 +193,7 @@ Status ShardedIndex::VerifyStructure() const {
 }
 
 uint64_t ShardedIndex::MemoryBytes() const {
-  uint64_t total = infos_.capacity() * sizeof(ShardInfo);
+  uint64_t total = infos_.capacity() * sizeof(ShardInfo) + heap_image_bytes_;
   for (const CompactSpineIndex& shard : shards_) {
     total += shard.MemoryBytes();
   }
@@ -578,51 +320,13 @@ Result<std::unique_ptr<ShardedIndex>> ShardedIndex::Load(
       new ShardedIndex(*alphabet, n, max_pattern));
   family->infos_ = std::move(infos);
   family->shards_.reserve(shards);
-  const std::string dir = DirName(path);
   for (uint32_t i = 0; i < shards; ++i) {
-    const std::string shard_path =
-        dir.empty() ? names[i] : dir + "/" + names[i];
-    Result<CompactSpineIndex> index = Status::OK();
-    if (options.mode == core::OpenMode::kMmap) {
-      // Zero-copy: map the shard image and borrow its tables. The
-      // whole-file CRC pass (the only full read) is skipped with
-      // verify=false, keeping open cost independent of shard size.
-      storage::MmapOptions mmap_options;
-      mmap_options.populate = options.populate;
-      mmap_options.hugepage = options.hugepage;
-      Result<std::shared_ptr<storage::MmapRegion>> region =
-          storage::MmapRegion::MapShared(shard_path, mmap_options);
-      if (!region.ok()) return region.status();
-      if ((*region)->size() != sizes[i]) {
-        return Status::Corruption(
-            shard_path + ": size mismatch (manifest says " +
-            std::to_string(sizes[i]) + " bytes, file has " +
-            std::to_string((*region)->size()) + ")");
-      }
-      if (options.verify &&
-          Crc32c((*region)->data(), (*region)->size()) != crcs[i]) {
-        return Status::Corruption(shard_path +
-                                  ": shard file checksum mismatch");
-      }
-      index = LoadCompactSpineFromMemory((*region)->data(), (*region)->size(),
-                                         options.verify, *region);
-      if (index.ok()) family->mappings_.push_back(std::move(*region));
-    } else {
-      Result<std::string> bytes = ReadFileBytes(shard_path);
-      if (!bytes.ok()) return bytes.status();
-      if (bytes->size() != sizes[i]) {
-        return Status::Corruption(
-            shard_path + ": size mismatch (manifest says " +
-            std::to_string(sizes[i]) + " bytes, file has " +
-            std::to_string(bytes->size()) + ")");
-      }
-      if (Crc32c(bytes->data(), bytes->size()) != crcs[i]) {
-        return Status::Corruption(shard_path +
-                                  ": shard file checksum mismatch");
-      }
-      std::istringstream stream(*bytes);
-      index = LoadCompactSpineFromStream(stream);
-    }
+    const std::string shard_path = SiblingPath(path, names[i]);
+    Result<ShardImage> image =
+        OpenShardImage(shard_path, sizes[i], crcs[i], options);
+    if (!image.ok()) return image.status();
+    Result<CompactSpineIndex> index = LoadCompactSpineFromMemory(
+        image->data, image->size, image->verify, image->keepalive);
     if (!index.ok()) {
       return Status(index.status().code(),
                     shard_path + ": " +
@@ -635,7 +339,13 @@ Result<std::unique_ptr<ShardedIndex>> ShardedIndex::Load(
                                 ": shard image disagrees with the manifest");
     }
     family->shards_.push_back(std::move(*index));
+    if (image->mapping != nullptr) {
+      family->mappings_.push_back(std::move(image->mapping));
+    } else {
+      family->heap_image_bytes_ += image->size;
+    }
   }
+  family->BuildSources();
   return family;
 }
 

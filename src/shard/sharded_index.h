@@ -7,26 +7,10 @@
 // characters (the overlap margin) guarantee that any pattern of length
 // m <= max_pattern starting inside a core range lies entirely inside
 // that shard's slice. With that invariant every query kind merges
-// exactly:
-//
-//   contains  OR over shards (early exit on the first hit);
-//   findall   per-shard FindAll mapped by +core_start, kept only when
-//             the global start falls in the shard's core range (drops
-//             overlap duplicates), concatenated in shard order — the
-//             result is globally ascending, byte-identical to the
-//             monolithic answer;
-//   ms        elementwise max of per-shard matching statistics (a
-//             matching substring lives wholly in some slice, and every
-//             per-shard statistic is a true global lower bound);
-//   match     derived from the merged ms exactly where the monolithic
-//             matcher reports: ms[q] >= min_len and (q == 0 or
-//             ms[q-1] <= ms[q]); occurrence positions come from
-//             per-shard lookups of the matched substring.
-//   mismatch/ per-shard generic seed-and-extend (core/approx.h) over
-//   edit      the slice, kept only when the window's start falls in the
-//             core range — the margin guarantees the full window (m
-//             characters, m + d for edit distance) is inside the slice,
-//             so kept hits are verified on complete windows.
+// exactly through the fan-out core (shard/fan_out.h): each shard is a
+// clean source whose one run is its core range at offset core_start,
+// so an occurrence counts once, in the shard that owns its start, and
+// the merged answer is byte-identical to the monolithic one.
 //
 // Patterns longer than max_pattern could straddle a boundary without
 // any shard seeing them whole, so Execute rejects them loudly with
@@ -56,6 +40,7 @@
 #include "common/status.h"
 #include "compact/compact_spine.h"
 #include "core/index.h"
+#include "shard/fan_out.h"
 #include "storage/mmap_region.h"
 
 namespace spine::shard {
@@ -118,10 +103,11 @@ class ShardedIndex final : public core::Index {
   }
   const Alphabet& alphabet() const override { return alphabet_; }
   uint64_t size() const override { return n_; }
-  // Merged per the header note. Emits shard.queries / shard.fanout /
-  // shard.merge_us metrics and a "shard_fanout" trace note. `cancel`
-  // is threaded into every per-shard generic walk, so a fired token
-  // stops mid-shard, not just between shards.
+  // Merged by the fan-out core after the mapping fence and the margin
+  // admission. Emits shard.queries / shard.fanout metrics and a
+  // "shard_fanout" trace note. `cancel` is threaded into every
+  // per-shard generic walk, so a fired token stops mid-shard, not just
+  // between shards.
   QueryResult Execute(const Query& query,
                       obs::TraceContext* trace = nullptr,
                       const CancelToken* cancel = nullptr) const override;
@@ -142,24 +128,9 @@ class ShardedIndex final : public core::Index {
   ShardedIndex(const Alphabet& alphabet, uint64_t n, uint32_t max_pattern)
       : alphabet_(alphabet), n_(n), max_pattern_(max_pattern) {}
 
-  QueryResult ExecuteContains(const Query& query,
-                              const CancelToken* cancel) const;
-  QueryResult ExecuteFindAll(const Query& query,
-                             const CancelToken* cancel) const;
-  QueryResult ExecuteMatchingStats(const Query& query,
-                                   const CancelToken* cancel) const;
-  QueryResult ExecuteMaximalMatches(const Query& query,
-                                    const CancelToken* cancel) const;
-  // kMismatch / kEditDistance: per-shard core/approx.h generics over the
-  // slices, deduplicated by core-range ownership like ExecuteFindAll.
-  QueryResult ExecuteApprox(const Query& query,
-                            const CancelToken* cancel) const;
-
-  // Elementwise-max merge of per-shard matching statistics; stats
-  // accumulate the per-shard search work.
-  std::vector<uint32_t> MergedMatchingStats(std::string_view pattern,
-                                            SearchStats* stats,
-                                            const CancelToken* cancel) const;
+  // Describes each shard as a fan-out source; run once the shards are
+  // in place (after Build or Load).
+  void BuildSources();
 
   // kIoError when any shard mapping's backing file shrank below its
   // mapped length (storage::MmapRegion::CheckFence); OK for heap-loaded
@@ -171,10 +142,14 @@ class ShardedIndex final : public core::Index {
   uint32_t max_pattern_ = 0;
   std::vector<ShardInfo> infos_;
   std::vector<CompactSpineIndex> shards_;
+  std::vector<Source> sources_;  // one per shard, over shards_
   // One region per shard when the family was opened with
   // OpenMode::kMmap (shards_[i] borrows from mappings_[i]); empty on
   // the heap path.
   std::vector<std::shared_ptr<const storage::MmapRegion>> mappings_;
+  // Heap-opened shard images: their tables borrow from these buffers
+  // and report no capacity of their own.
+  uint64_t heap_image_bytes_ = 0;
 };
 
 }  // namespace spine::shard

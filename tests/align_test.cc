@@ -1,8 +1,7 @@
 // Tests for the alignment module: edit distance, anchor chaining,
-// the SPINE-anchored aligner, and approximate matching — plus the tie
-// between the align-module seed-and-extend and the core kEditDistance
-// query kind: same corpora (tests/test_util.h), same answers, and the
-// approx.* / core.* registry counters move exactly with the
+// the SPINE-anchored aligner, and approximate matching — the core
+// kEditDistance query kind checked against a brute-force oracle, with
+// the approx.* / core.* registry counters moving exactly with the
 // SearchStats the queries report.
 
 #include <algorithm>
@@ -12,10 +11,10 @@
 #include <gtest/gtest.h>
 
 #include "align/aligner.h"
-#include "align/approximate.h"
 #include "align/chainer.h"
 #include "align/edit_distance.h"
 #include "common/rng.h"
+#include "compact/compact_spine.h"
 #include "core/query.h"
 #include "seq/generator.h"
 #include "test_util.h"
@@ -238,10 +237,13 @@ TEST(AlignerTest, UniqueAnchorModeDropsRepeatedAnchors) {
 // Approximate matching.
 // ---------------------------------------------------------------------
 
-std::vector<ApproximateHit> BruteApproximate(const std::string& text,
-                                             const std::string& pattern,
-                                             uint32_t max_edits) {
-  std::vector<ApproximateHit> hits;
+// Every start whose best window (fewest edits, then shortest) is
+// within max_edits, as the kEditDistance kind reports it: {start,
+// window length, edits}.
+std::vector<Hit> BruteApproximate(const std::string& text,
+                                  const std::string& pattern,
+                                  uint32_t max_edits) {
+  std::vector<Hit> hits;
   const uint32_t m = static_cast<uint32_t>(pattern.size());
   for (uint32_t s = 0; s < text.size(); ++s) {
     uint32_t best_edits = max_edits + 1;
@@ -260,13 +262,21 @@ std::vector<ApproximateHit> BruteApproximate(const std::string& text,
   return hits;
 }
 
+std::vector<Hit> EditHits(const CompactSpineIndex& index,
+                          const std::string& pattern, uint32_t max_edits) {
+  const QueryResult result =
+      ExecuteQuery(index, Query::EditDistance(pattern, max_edits));
+  EXPECT_TRUE(result.ok()) << result.error;
+  return result.hits;
+}
+
 TEST(ApproximateTest, ExactMatchesAreZeroEditHits) {
   CompactSpineIndex index(Alphabet::Dna());
   ASSERT_TRUE(index.AppendString("ACGTACGTACGT").ok());
-  auto hits = FindApproximate(index, "GTAC", 0);
+  const std::vector<Hit> hits = EditHits(index, "GTAC", 0);
   ASSERT_EQ(hits.size(), 2u);
-  EXPECT_EQ(hits[0], (ApproximateHit{2, 4, 0}));
-  EXPECT_EQ(hits[1], (ApproximateHit{6, 4, 0}));
+  EXPECT_EQ(hits[0], (Hit{2, 4, 0}));
+  EXPECT_EQ(hits[1], (Hit{6, 4, 0}));
 }
 
 TEST(ApproximateTest, FindsSubstitutedOccurrences) {
@@ -274,22 +284,21 @@ TEST(ApproximateTest, FindsSubstitutedOccurrences) {
   CompactSpineIndex index(Alphabet::Dna());
   ASSERT_TRUE(index.AppendString("AAAATCGAAAA").ok());
   // "TAGA" matches "TCGA" at position 4 with 1 substitution.
-  auto hits = FindApproximate(index, "TAGA", 1);
   bool found = false;
-  for (const auto& hit : hits) {
-    if (hit.data_pos == 4 && hit.edits == 1) found = true;
+  for (const Hit& hit : EditHits(index, "TAGA", 1)) {
+    if (hit.pos == 4 && hit.query_pos == 1) found = true;
   }
   EXPECT_TRUE(found);
-  EXPECT_TRUE(FindApproximate(index, "TAGA", 0).empty());
+  EXPECT_TRUE(EditHits(index, "TAGA", 0).empty());
 }
 
 TEST(ApproximateTest, DegenerateInputs) {
   CompactSpineIndex index(Alphabet::Dna());
   ASSERT_TRUE(index.AppendString("ACGT").ok());
-  EXPECT_TRUE(FindApproximate(index, "", 1).empty());
-  EXPECT_TRUE(FindApproximate(index, "AC", 2).empty());  // k >= |pattern|
+  EXPECT_TRUE(EditHits(index, "", 1).empty());
+  EXPECT_TRUE(EditHits(index, "AC", 2).empty());  // k >= |pattern|
   CompactSpineIndex empty(Alphabet::Dna());
-  EXPECT_TRUE(FindApproximate(empty, "ACG", 1).empty());
+  EXPECT_TRUE(EditHits(empty, "ACG", 1).empty());
 }
 
 TEST(ApproximateTest, MatchesBruteForceOracle) {
@@ -309,25 +318,19 @@ TEST(ApproximateTest, MatchesBruteForceOracle) {
       }
       uint32_t k = static_cast<uint32_t>(rng.Below(3));
       if (k >= pattern.size()) continue;
-      auto got = FindApproximate(index, pattern, k);
-      auto want = BruteApproximate(text, pattern, k);
-      ASSERT_EQ(got.size(), want.size())
+      ASSERT_EQ(EditHits(index, pattern, k),
+                BruteApproximate(text, pattern, k))
           << "text=" << text << " pattern=" << pattern << " k=" << k;
-      for (size_t i = 0; i < want.size(); ++i) {
-        ASSERT_EQ(got[i].data_pos, want[i].data_pos);
-        ASSERT_EQ(got[i].edits, want[i].edits);
-      }
     }
   }
 }
 
-// The align-module seed-and-extend and the core kEditDistance kind
-// (through ExecuteQuery) answer from the same structure with the same
-// best-per-start contract (fewest edits, then shortest window) and
-// must agree triple for triple — and the query path must leave an
-// exact trail in the metrics registry: one routing decision per
-// query, one approx.verified per hit, and Table-6 work counters equal
-// to the summed SearchStats.
+// The core kEditDistance kind (through ExecuteQuery) keeps the
+// best-per-start contract (fewest edits, then shortest window) on a
+// larger corpus, triple for triple against the brute-force oracle —
+// and leaves an exact trail in the metrics registry: one routing
+// decision per query, one approx.verified per hit, and Table-6 work
+// counters equal to the summed SearchStats.
 TEST(ApproximateTest, AgreesWithCoreEditKindAndRecordsMetrics) {
   Rng rng(777);
   const std::string corpus = TestCorpus(6000, 19);
@@ -361,20 +364,12 @@ TEST(ApproximateTest, AgreesWithCoreEditKindAndRecordsMetrics) {
     ++queries;
     total_hits += result.hits.size();
 
-    const std::vector<ApproximateHit> seeded =
-        FindApproximate(index, pattern, d);
-    ASSERT_EQ(result.hits.size(), seeded.size()) << "d=" << d;
-    for (size_t i = 0; i < seeded.size(); ++i) {
-      EXPECT_EQ(result.hits[i].pos, seeded[i].data_pos);
-      EXPECT_EQ(result.hits[i].length, seeded[i].length);
-      EXPECT_EQ(result.hits[i].query_pos, seeded[i].edits);
-    }
+    EXPECT_EQ(result.hits, BruteApproximate(corpus, pattern, d))
+        << "d=" << d;
   }
   EXPECT_GT(total_hits, 0u);
 
   SPINE_SKIP_IF_OBS_DISABLED();
-  // FindApproximate is not a query: only the ExecuteQuery half of the
-  // loop shows up in the registry.
   EXPECT_EQ(delta.Counter("core.queries.editdist"), queries);
   EXPECT_EQ(delta.Counter("approx.seeded") + delta.Counter("approx.scanned"),
             queries);

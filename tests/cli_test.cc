@@ -150,15 +150,25 @@ TEST(CliTest, ApproxFindsNearMatches) {
   WriteFile(fasta, ">d\nAAAATCGAAAA\n");
   ASSERT_EQ(RunCli({"build", fasta, index}).code, 0);
   // "TAGA" matches "TCGA" at position 4 with one substitution.
-  CliResult approx = RunCli({"approx", index, "TAGA", "--max-edits=1"});
+  CliResult approx =
+      RunCli({"query", index, "TAGA", "--kind=edit", "--errors=1"});
   ASSERT_EQ(approx.code, 0) << approx.err;
-  EXPECT_NE(approx.out.find("pos 4"), std::string::npos);
+  EXPECT_NE(approx.out.find("1 hit(s) within 1 edit(s) 4:4:1"),
+            std::string::npos)
+      << approx.out;
   // Zero-edit search of an absent pattern finds nothing.
-  CliResult none = RunCli({"approx", index, "TAGA", "--max-edits=0"});
+  CliResult none =
+      RunCli({"query", index, "TAGA", "--kind=edit", "--errors=0"});
+  ASSERT_EQ(none.code, 0) << none.err;
   EXPECT_NE(none.out.find("0 hit(s)"), std::string::npos);
-  // max-edits >= pattern length is rejected.
-  EXPECT_EQ(RunCli({"approx", index, "TA", "--max-edits=2"}).code, 4);
-  EXPECT_EQ(RunCli({"approx", index}).code, 2);
+  // A budget at or past the pattern length names no window: an empty
+  // answer, not an error (core/query.h).
+  CliResult degenerate =
+      RunCli({"query", index, "TA", "--kind=edit", "--errors=2"});
+  ASSERT_EQ(degenerate.code, 0) << degenerate.err;
+  EXPECT_NE(degenerate.out.find("0 hit(s) within 2 edit(s)"),
+            std::string::npos);
+  EXPECT_EQ(RunCli({"query", index}).code, 2);
 }
 
 TEST(CliTest, HammingAndLrsCommands) {
@@ -168,12 +178,12 @@ TEST(CliTest, HammingAndLrsCommands) {
   ASSERT_EQ(RunCli({"build", fasta, index}).code, 0);
 
   CliResult hamming =
-      RunCli({"hamming", index, "ACGA", "--max-mismatches=1"});
+      RunCli({"query", index, "ACGA", "--kind=mismatch", "--errors=1"});
   ASSERT_EQ(hamming.code, 0) << hamming.err;
   // "ACGT" at 0 and 4 are within one mismatch of "ACGA".
-  EXPECT_NE(hamming.out.find("pos 0 mismatches 1"), std::string::npos);
-  EXPECT_NE(hamming.out.find("pos 4 mismatches 1"), std::string::npos);
-  EXPECT_EQ(RunCli({"hamming", index}).code, 2);
+  EXPECT_NE(hamming.out.find("2 hit(s) within 1 mismatch(es) 0:1 4:1"),
+            std::string::npos)
+      << hamming.out;
 
   CliResult lrs = RunCli({"lrs", index});
   ASSERT_EQ(lrs.code, 0) << lrs.err;

@@ -8,9 +8,9 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "align/approximate.h"
 #include "align/chainer.h"
 #include "compact/compact_spine.h"
+#include "core/query.h"
 #include "core/spine_index.h"
 #include "dawg/compact_dawg.h"
 #include "dawg/suffix_automaton.h"
@@ -104,8 +104,9 @@ TEST(CrossStructureTest, MrsAgreesOnProtein) {
   for (int trial = 0; trial < 10; ++trial) {
     std::string pattern = s.substr(rng.Below(s.size() - 12), 8 + rng.Below(4));
     auto filter_hits = filter->FindApproximate(pattern, 1);
-    auto spine_hits = align::FindApproximate(spine, pattern, 1);
-    ASSERT_EQ(filter_hits.size(), spine_hits.size()) << pattern;
+    const QueryResult spine_result =
+        ExecuteQuery(spine, Query::EditDistance(pattern, 1));
+    ASSERT_EQ(filter_hits.size(), spine_result.hits.size()) << pattern;
   }
 }
 

@@ -40,10 +40,23 @@ using spine::test::RandomDna;
 using spine::test::ScopedTempDir;
 
 std::vector<Query> AllKinds(const std::string& pattern, uint32_t min_len) {
-  return {Query::Contains(pattern), Query::FindAll(pattern),
-          Query::MatchingStats(pattern),
-          Query::MaximalMatches(pattern, min_len),
-          Query::MaximalMatches(pattern, min_len, /*expand=*/true)};
+  std::vector<Query> queries = {
+      Query::Contains(pattern), Query::FindAll(pattern),
+      Query::MatchingStats(pattern), Query::MaximalMatches(pattern, min_len),
+      Query::MaximalMatches(pattern, min_len, /*expand=*/true)};
+  for (uint32_t k = 0; k <= 2; ++k) {
+    queries.push_back(Query::Mismatch(pattern, k));
+    queries.push_back(Query::EditDistance(pattern, k));
+  }
+  return queries;
+}
+
+// The oracle's answer: its underlying index with its separator, so no
+// approximate window crosses a document boundary.
+QueryResult OracleAnswer(const GeneralizedSpineIndex& oracle,
+                         const Query& query) {
+  return ExecuteQuery(oracle.underlying(), query, nullptr, nullptr,
+                      GeneralizedSpineIndex::kSeparator);
 }
 
 // The specification the family is tested against: which documents are
@@ -166,7 +179,7 @@ void ExpectAgrees(const DynamicFamily& family, const Model& model, Rng& rng,
   }
   for (const std::string& pattern : patterns) {
     for (const Query& query : AllKinds(pattern, 3)) {
-      QueryResult expected = ExecuteQuery(oracle.underlying(), query);
+      QueryResult expected = OracleAnswer(oracle, query);
       QueryResult got = family.Execute(query);
       ASSERT_TRUE(got.SameAnswer(expected))
           << label << ", kind " << QueryKindName(query.kind) << ", pattern \""
@@ -452,7 +465,7 @@ TEST(LifecycleDifferentialTest, CompactionRacesConcurrentReaders) {
   EXPECT_EQ((*family)->size(), oracle.underlying().size());
   for (const char* pattern : kPatterns) {
     for (const Query& query : AllKinds(pattern, 3)) {
-      QueryResult expected = ExecuteQuery(oracle.underlying(), query);
+      QueryResult expected = OracleAnswer(oracle, query);
       QueryResult got = (*family)->Execute(query);
       EXPECT_TRUE(got.SameAnswer(expected))
           << QueryKindName(query.kind) << " \"" << pattern << "\"";

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -23,6 +24,8 @@
 #include "engine/query_engine.h"
 #include "obs/metrics.h"
 #include "plan/planner.h"
+#include "shard/dynamic_family.h"
+#include "shard/sharded_index.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_spine.h"
 #include "storage/io_backend.h"
@@ -39,6 +42,7 @@ using storage::ReplacementPolicy;
 using FaultKind = FaultInjectingBackend::FaultKind;
 using spine::test::RandomDna;
 using spine::test::RegistryDelta;
+using spine::test::ScopedTempDir;
 using spine::test::TempPath;
 
 // Writes `pages` dense checksummed pages into a fresh PageFile.
@@ -204,37 +208,40 @@ TEST(MetricsInvariantTest, EngineRetriesMatchBatchStats) {
 // (5) The Table 6 work counters accumulated by the registry equal the
 // SearchStats the queries themselves report, summed independently, and
 // the per-kind query counters equal the kind mix, over randomized
-// patterns against a real index.
-TEST(MetricsInvariantTest, MatcherCountersMatchSearchStats) {
-  SPINE_SKIP_IF_OBS_DISABLED();
+// patterns against a real index — and against both shard families,
+// whose fan-out core must count one logical query once, however many
+// sources it probes. Patterns are slices of `text` (plus random probes).
+void ExpectCountersMatchSearchStats(
+    const std::string& text,
+    const std::function<QueryResult(const Query&)>& execute) {
   Rng rng(907);
-  const std::string s = RandomDna(rng, 8000);
-  CompactSpineIndex index(Alphabet::Dna());
-  ASSERT_TRUE(index.AppendString(s).ok());
-
   RegistryDelta delta;
   SearchStats expected;
   uint64_t per_kind[kQueryKindCount] = {};
   uint64_t approx_hits = 0;
   for (int i = 0; i < 200; ++i) {
-    const uint32_t start = static_cast<uint32_t>(rng.Below(s.size() - 40));
+    const uint32_t start = static_cast<uint32_t>(rng.Below(text.size() - 40));
     Query query;
     switch (i % 6) {
-      case 0: query = Query::Contains(s.substr(start, 4 + rng.Below(10))); break;
-      case 1: query = Query::FindAll(s.substr(start, 3 + rng.Below(8))); break;
+      case 0:
+        query = Query::Contains(text.substr(start, 4 + rng.Below(10)));
+        break;
+      case 1:
+        query = Query::FindAll(text.substr(start, 3 + rng.Below(8)));
+        break;
       case 2: query = Query::MaximalMatches(RandomDna(rng, 32), 5); break;
       case 3: query = Query::MatchingStats(RandomDna(rng, 20)); break;
       case 4:
-        query = Query::Mismatch(s.substr(start, 12 + rng.Below(8)),
+        query = Query::Mismatch(text.substr(start, 12 + rng.Below(8)),
                                 rng.Below(3));
         break;
       default:
-        query = Query::EditDistance(s.substr(start, 12 + rng.Below(8)),
+        query = Query::EditDistance(text.substr(start, 12 + rng.Below(8)),
                                     rng.Below(3));
         break;
     }
-    QueryResult result = ExecuteQuery(index, query);
-    ASSERT_TRUE(result.ok());
+    QueryResult result = execute(query);
+    ASSERT_TRUE(result.ok()) << result.error;
     expected.Add(result.stats);
     ++per_kind[static_cast<size_t>(query.kind)];
     if (query.kind == QueryKind::kMismatch ||
@@ -259,7 +266,57 @@ TEST(MetricsInvariantTest, MatcherCountersMatchSearchStats) {
   EXPECT_EQ(delta.Counter("approx.verified"), approx_hits);
   EXPECT_GE(delta.Counter("approx.candidates"),
             delta.Counter("approx.verified"));
+  EXPECT_GT(approx_hits, 0u);
   EXPECT_GT(expected.nodes_checked, 0u);
+}
+
+TEST(MetricsInvariantTest, MatcherCountersMatchSearchStats) {
+  SPINE_SKIP_IF_OBS_DISABLED();
+  Rng rng(907);
+  const std::string s = RandomDna(rng, 8000);
+  CompactSpineIndex index(Alphabet::Dna());
+  ASSERT_TRUE(index.AppendString(s).ok());
+  {
+    SCOPED_TRACE("compact index");
+    ExpectCountersMatchSearchStats(
+        s, [&](const Query& query) { return ExecuteQuery(index, query); });
+  }
+
+  auto sharded = shard::ShardedIndex::Build(Alphabet::Dna(), s,
+                                            {.shards = 3, .max_pattern = 64});
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  {
+    SCOPED_TRACE("3-shard family");
+    const core::Index& family = **sharded;
+    ExpectCountersMatchSearchStats(
+        s, [&](const Query& query) { return family.Execute(query); });
+  }
+
+  // A dynamic family whose frozen shard and memtable each hold a
+  // tombstoned document, so every kind takes the dirty-source paths.
+  ScopedTempDir dir;
+  auto dynamic = shard::DynamicFamily::Create(dir.File("mi.spinefam"),
+                                              Alphabet::Dna(), {});
+  ASSERT_TRUE(dynamic.ok()) << dynamic.status().ToString();
+  std::string live;
+  for (uint32_t d = 0; d < 8; ++d) {
+    const std::string doc = s.substr(d * 1000, 1000);
+    ASSERT_TRUE((*dynamic)->InsertDocument(doc).ok());
+    if (d != 1 && d != 6) live += doc;
+    if (d == 3) {
+      ASSERT_TRUE((*dynamic)->Flush().ok());
+    }
+  }
+  ASSERT_TRUE((*dynamic)->DeleteDocument(1).ok());
+  ASSERT_TRUE((*dynamic)->DeleteDocument(6).ok());
+  ASSERT_EQ((*dynamic)->frozen_shard_count(), 1u);
+  ASSERT_EQ((*dynamic)->memtable_documents(), 4u);
+  {
+    SCOPED_TRACE("dirty dynamic family");
+    const core::Index& family = **dynamic;
+    ExpectCountersMatchSearchStats(
+        live, [&](const Query& query) { return family.Execute(query); });
+  }
 }
 
 // (6) Matcher registry counters also increment on the *disk* backend,

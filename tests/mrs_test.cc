@@ -7,9 +7,9 @@
 
 #include <gtest/gtest.h>
 
-#include "align/approximate.h"
 #include "common/rng.h"
 #include "compact/compact_spine.h"
+#include "core/query.h"
 #include "seq/generator.h"
 
 namespace spine::mrs {
@@ -87,12 +87,13 @@ TEST(FrequencyFilterTest, AgreesWithSpineSeedAndExtend) {
       uint32_t k = static_cast<uint32_t>(rng.Below(3));
       if (k >= pattern.size()) continue;
       auto filter_hits = filter->FindApproximate(pattern, k);
-      auto spine_hits = align::FindApproximate(spine, pattern, k);
+      const std::vector<Hit> spine_hits =
+          ExecuteQuery(spine, Query::EditDistance(pattern, k)).hits;
       ASSERT_EQ(filter_hits.size(), spine_hits.size())
           << "text=" << text << " pattern=" << pattern << " k=" << k;
       for (size_t i = 0; i < spine_hits.size(); ++i) {
-        ASSERT_EQ(filter_hits[i].data_pos, spine_hits[i].data_pos);
-        ASSERT_EQ(filter_hits[i].edits, spine_hits[i].edits);
+        ASSERT_EQ(filter_hits[i].data_pos, spine_hits[i].pos);
+        ASSERT_EQ(filter_hits[i].edits, spine_hits[i].query_pos);
       }
     }
   }

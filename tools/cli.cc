@@ -16,8 +16,6 @@
 #include <thread>
 
 #include "align/aligner.h"
-#include "align/approximate.h"
-#include "align/hamming.h"
 #include "common/cancel.h"
 #include "common/timer.h"
 #include "compact/compact_spine.h"
@@ -119,10 +117,6 @@ constexpr const char* kUsage =
     "  compact <family.spinefam>\n"
     "      merge every frozen shard into one compact image, dropping\n"
     "      tombstoned documents and their tombstones\n"
-    "  approx <index> <pattern> [--max-edits=K]\n"
-    "      sugar for 'query --kind=edit --errors=K'\n"
-    "  hamming <index> <pattern> [--max-mismatches=K]\n"
-    "      sugar for 'query --kind=mismatch --errors=K'\n"
     "  lrs <index.spine>\n"
     "  stats <index> [--json]\n"
     "      index statistics; --json emits the versioned stats snapshot\n"
@@ -874,60 +868,6 @@ int CmdCompact(const ParsedArgs& args, std::ostream& out,
   return 0;
 }
 
-// `approx` and `hamming` are thin sugar over the unified query surface
-// (`query --kind=edit|mismatch --errors=K`): they route through
-// OpenIndex and Query like every other query command, so any artifact
-// kind, open mode and kernel override works here too.
-int CmdApprox(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
-  if (args.positional.size() != 2) {
-    err << "approx requires <index> <pattern>\n";
-    return kExitUsage;
-  }
-  const std::string& pattern = args.positional[1];
-  const uint32_t max_edits =
-      static_cast<uint32_t>(OptionU64(args, "max-edits").value_or(1));
-  if (max_edits >= pattern.size()) {
-    return Fail(err, Status::InvalidArgument(
-                         "max-edits must be smaller than the pattern"));
-  }
-  Result<std::unique_ptr<core::Index>> index =
-      OpenIndex(args, args.positional[0]);
-  if (!index.ok()) return Fail(err, index.status());
-  const Query query = Query::EditDistance(pattern, max_edits);
-  QueryResult result = (*index)->Execute(query, nullptr, nullptr);
-  if (!result.ok()) return FailResult(err, result);
-  out << result.hits.size() << " hit(s) within " << max_edits
-      << " edit(s)\n";
-  for (const Hit& hit : result.hits) {
-    out << "  pos " << hit.pos << " len " << hit.length << " edits "
-        << hit.query_pos << "\n";
-  }
-  return 0;
-}
-
-int CmdHamming(const ParsedArgs& args, std::ostream& out,
-               std::ostream& err) {
-  if (args.positional.size() != 2) {
-    err << "hamming requires <index> <pattern>\n";
-    return kExitUsage;
-  }
-  const std::string& pattern = args.positional[1];
-  const uint32_t max_mm =
-      static_cast<uint32_t>(OptionU64(args, "max-mismatches").value_or(1));
-  Result<std::unique_ptr<core::Index>> index =
-      OpenIndex(args, args.positional[0]);
-  if (!index.ok()) return Fail(err, index.status());
-  const Query query = Query::Mismatch(pattern, max_mm);
-  QueryResult result = (*index)->Execute(query, nullptr, nullptr);
-  if (!result.ok()) return FailResult(err, result);
-  out << result.hits.size() << " hit(s) within " << max_mm
-      << " mismatch(es)\n";
-  for (const Hit& hit : result.hits) {
-    out << "  pos " << hit.pos << " mismatches " << hit.query_pos << "\n";
-  }
-  return 0;
-}
-
 int CmdLrs(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   if (args.positional.size() != 1) {
     err << "lrs requires <index.spine>\n";
@@ -1308,8 +1248,6 @@ int Run(const std::vector<std::string>& args, std::ostream& out,
   if (command == "add") return CmdAdd(parsed, out, err);
   if (command == "rm") return CmdRm(parsed, out, err);
   if (command == "compact") return CmdCompact(parsed, out, err);
-  if (command == "approx") return CmdApprox(parsed, out, err);
-  if (command == "hamming") return CmdHamming(parsed, out, err);
   if (command == "lrs") return CmdLrs(parsed, out, err);
   if (command == "stats") return CmdStats(parsed, out, err);
   if (command == "search") return CmdSearch(parsed, out, err);

@@ -7,8 +7,9 @@
 //   gbuild <input.fa> <index.spineg> [--alphabet=...]
 //       Index every record of a multi-FASTA file into one generalized
 //       index (hits report record id + offset).
-//   query <index.spine> <pattern>
-//       Print all start positions of an exact pattern.
+//   query <index> <pattern> [--kind=K] [--errors=N]
+//       Answer one query of any kind (default findall); the approximate
+//       kinds take an --errors budget.
 //   batch <index.spine> <patterns.txt> [--threads=N] [--cache-mb=M]
 //         [--min-len=N]
 //       Execute a file of heterogeneous queries (findall / contains /
@@ -20,10 +21,6 @@
 //       docs/SERVING.md.
 //   gquery <index.spineg> <pattern>
 //       Like query, over a generalized index.
-//   approx <index.spine> <pattern> [--max-edits=K]
-//       Approximate (edit-distance) search via seed-and-extend.
-//   hamming <index.spine> <pattern> [--max-mismatches=K]
-//       k-mismatch search via threshold-checked DFS on the index.
 //   lrs <index.spine>
 //       Longest repeated substring (max LEL over the backbone).
 //   stats <index.spine>
