@@ -4,6 +4,10 @@
 
 namespace spine {
 
+// True when crc32c_sse42.cc was compiled with SSE4.2 codegen;
+// Crc32cHardwareSupported() requires it in addition to the cpuid check.
+bool Crc32cSse42Compiled();
+
 namespace {
 
 // Table for the reflected Castagnoli polynomial, built once at startup.
@@ -29,13 +33,27 @@ const Crc32cTable& Table() {
 
 }  // namespace
 
-uint32_t Crc32cExtend(uint32_t state, const void* data, size_t n) {
+uint32_t Crc32cExtendTable(uint32_t state, const void* data, size_t n) {
   const auto& table = Table().entries;
   const uint8_t* bytes = static_cast<const uint8_t*>(data);
   for (size_t i = 0; i < n; ++i) {
     state = table[(state ^ bytes[i]) & 0xff] ^ (state >> 8);
   }
   return state;
+}
+
+bool Crc32cHardwareSupported() {
+#if defined(__x86_64__)
+  return Crc32cSse42Compiled() && __builtin_cpu_supports("sse4.2") != 0;
+#else
+  return false;
+#endif
+}
+
+uint32_t Crc32cExtend(uint32_t state, const void* data, size_t n) {
+  static const auto extend = Crc32cHardwareSupported() ? Crc32cExtendHardware
+                                                       : Crc32cExtendTable;
+  return extend(state, data, n);
 }
 
 }  // namespace spine

@@ -17,6 +17,10 @@
 // MapReader enforce the same bounds/pad checks in the same order, so
 // both open paths accept or reject any given image identically — the
 // property the fuzz harness' differential mmap phase locks in.
+//
+// CrcStreambuf wraps a file's stream buffer and yields the size and
+// whole-file CRC32C a shard manifest records, taken from the bytes as
+// they are written.
 
 #ifndef SPINE_COMMON_SERDE_H_
 #define SPINE_COMMON_SERDE_H_
@@ -25,6 +29,7 @@
 #include <cstring>
 #include <istream>
 #include <ostream>
+#include <streambuf>
 #include <vector>
 
 #include "common/crc32c.h"
@@ -101,6 +106,50 @@ class Writer {
   std::ostream& out_;
   uint32_t crc_state_ = kCrc32cInit;
   uint64_t written_ = 0;
+};
+
+// A stream buffer that passes every byte through to `sink` and folds
+// it into a running CRC32C on the way, so a writer learns the size and
+// checksum of a file from the bytes it hands over instead of reading
+// the file back. Unbuffered: each write goes straight to the sink,
+// which does its own buffering.
+class CrcStreambuf : public std::streambuf {
+ public:
+  explicit CrcStreambuf(std::streambuf* sink) : sink_(sink) {}
+
+  FileChecksum checksum() const { return {size_, Crc32cFinish(state_)}; }
+
+ protected:
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    const std::streamsize put = sink_->sputn(s, n);
+    Fold(s, put);
+    return put;
+  }
+
+  int_type overflow(int_type ch) override {
+    if (traits_type::eq_int_type(ch, traits_type::eof())) {
+      return traits_type::not_eof(ch);
+    }
+    const char c = traits_type::to_char_type(ch);
+    if (traits_type::eq_int_type(sink_->sputc(c), traits_type::eof())) {
+      return traits_type::eof();
+    }
+    Fold(&c, 1);
+    return ch;
+  }
+
+  int sync() override { return sink_->pubsync(); }
+
+ private:
+  void Fold(const char* s, std::streamsize n) {
+    if (n <= 0) return;
+    state_ = Crc32cExtend(state_, s, static_cast<size_t>(n));
+    size_ += static_cast<uint64_t>(n);
+  }
+
+  std::streambuf* sink_;
+  uint32_t state_ = kCrc32cInit;
+  uint64_t size_ = 0;
 };
 
 class Reader {

@@ -144,9 +144,12 @@ GeneralizedCompactSpine::MatchAgainst(std::string_view query,
   return out;
 }
 
-Status GeneralizedCompactSpine::Save(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IoError("cannot open " + path + " for writing");
+Status GeneralizedCompactSpine::Save(const std::string& path,
+                                     FileChecksum* written) const {
+  std::ofstream file(path, std::ios::binary | std::ios::trunc);
+  if (!file) return Status::IoError("cannot open " + path + " for writing");
+  serde::CrcStreambuf counted(file.rdbuf());
+  std::ostream out(&counted);
   serde::Writer w(out);
   w.Pod(kGenMagic);
   w.Pod(kGenVersion);
@@ -164,6 +167,7 @@ Status GeneralizedCompactSpine::Save(const std::string& path) const {
   SPINE_RETURN_IF_ERROR(SaveCompactSpineToStream(index_, out));
   out.flush();
   if (!out) return Status::IoError("write failure on " + path);
+  if (written != nullptr) *written = counted.checksum();
   return Status::OK();
 }
 

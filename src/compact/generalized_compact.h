@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "alphabet/alphabet.h"
+#include "common/crc32c.h"
 #include "common/status.h"
 #include "compact/compact_spine.h"
 
@@ -85,7 +86,10 @@ class GeneralizedCompactSpine {
 
   // --- Persistence ---------------------------------------------------------
 
-  Status Save(const std::string& path) const;
+  // `written`, when non-null, receives the size and CRC32C of the
+  // bytes handed to the file.
+  Status Save(const std::string& path,
+              FileChecksum* written = nullptr) const;
   static Result<GeneralizedCompactSpine> Load(const std::string& path);
 
   // Zero-copy variant over an image already in memory (an mmap'd

@@ -280,13 +280,17 @@ class CompactSpineSerializer {
 };
 
 Status SaveCompactSpine(const CompactSpineIndex& index,
-                        const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
+                        const std::string& path, FileChecksum* written) {
+  std::ofstream file(path, std::ios::binary | std::ios::trunc);
+  if (!file) {
     return Status::IoError("cannot open " + path +
                            " for writing: " + std::strerror(errno));
   }
-  return CompactSpineSerializer::Save(index, out);
+  serde::CrcStreambuf counted(file.rdbuf());
+  std::ostream out(&counted);
+  SPINE_RETURN_IF_ERROR(CompactSpineSerializer::Save(index, out));
+  if (written != nullptr) *written = counted.checksum();
+  return Status::OK();
 }
 
 Result<CompactSpineIndex> LoadCompactSpine(const std::string& path) {

@@ -13,14 +13,18 @@
 #include <ostream>
 #include <string>
 
+#include "common/crc32c.h"
 #include "common/status.h"
 #include "compact/compact_spine.h"
 
 namespace spine {
 
-// Writes the index to `path`, replacing any existing file.
+// Writes the index to `path`, replacing any existing file. `written`,
+// when non-null, receives the size and CRC32C of the bytes handed to
+// the file.
 Status SaveCompactSpine(const CompactSpineIndex& index,
-                        const std::string& path);
+                        const std::string& path,
+                        FileChecksum* written = nullptr);
 
 // Loads an index previously written by SaveCompactSpine. Fails with
 // kCorruption on bad magic/version/truncated data.

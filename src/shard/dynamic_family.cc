@@ -84,12 +84,15 @@ struct DynamicFamily::FrozenShard {
 
   GeneralizedCompactSpine index;
   std::string filename;  // relative to the manifest's directory
-  uint64_t file_size = 0;
-  uint32_t file_crc = 0;
+  FileChecksum file;     // size and CRC32C the manifest records
   std::vector<uint32_t> doc_ids;  // ascending; parallel to index strings
   // Non-null when the image borrows from a mapping (mmap open): the
   // fence is checked at query admission, exactly like ShardedIndex.
   std::shared_ptr<const storage::MmapRegion> mapping;
+  // Size of the heap buffer a heap-opened image borrows its tables
+  // from (borrowed tables report no capacity); 0 when built in memory
+  // or mapped.
+  uint64_t heap_image_bytes = 0;
 };
 
 // One immutable snapshot of the family's queryable state. Everything
@@ -386,6 +389,7 @@ uint64_t DynamicFamily::GenerationMemoryBytes(const Generation& gen) {
   uint64_t total = 0;
   for (const std::shared_ptr<const FrozenShard>& shard : gen.shards) {
     total += shard->index.underlying().MemoryBytes();
+    total += shard->heap_image_bytes;
     total += shard->doc_ids.size() * sizeof(uint32_t);
   }
   if (gen.memtable != nullptr) {
@@ -623,19 +627,19 @@ DynamicFamily::WriteShard(uint64_t version,
   const std::string filename =
       BaseName(path_) + ".g" + std::to_string(version);
   const std::string full = SiblingPath(path_, filename);
+  // The manifest records the size and CRC32C of the bytes handed to
+  // the file; a torn write shows up as kCorruption at the next open.
+  FileChecksum file;
   Status status = RunFaultHook("shard.write");
-  if (status.ok()) status = image.Save(full);
+  if (status.ok()) status = image.Save(full, &file);
   if (status.ok()) status = RunFaultHook("shard.finish");
-  Result<std::string> bytes =
-      status.ok() ? ReadFileBytes(full) : Result<std::string>(status);
-  if (!bytes.ok()) {
+  if (!status.ok()) {
     std::remove(full.c_str());
-    return bytes.status();
+    return status;
   }
   auto shard = std::make_shared<FrozenShard>(std::move(image));
   shard->filename = filename;
-  shard->file_size = bytes->size();
-  shard->file_crc = Crc32c(bytes->data(), bytes->size());
+  shard->file = file;
   shard->doc_ids = doc_ids;
   return std::shared_ptr<const FrozenShard>(std::move(shard));
 }
@@ -669,8 +673,8 @@ Status DynamicFamily::WriteManifest(const Generation& generation) const {
     for (const std::shared_ptr<const FrozenShard>& shard : generation.shards) {
       w.Pod<uint32_t>(static_cast<uint32_t>(shard->filename.size()));
       w.Bytes(shard->filename.data(), shard->filename.size());
-      w.Pod<uint64_t>(shard->file_size);
-      w.Pod<uint32_t>(shard->file_crc);
+      w.Pod<uint64_t>(shard->file.size);
+      w.Pod<uint32_t>(shard->file.crc);
       w.Vec(shard->doc_ids);
     }
     w.Vec(durable_tombstones);
@@ -734,8 +738,7 @@ DynamicFamily::LoadGeneration(const std::string& path, const Options& options,
   }
   struct ShardMeta {
     std::string filename;
-    uint64_t file_size = 0;
-    uint32_t file_crc = 0;
+    FileChecksum file;
     std::vector<uint32_t> doc_ids;
   };
   std::vector<ShardMeta> metas;
@@ -755,8 +758,8 @@ DynamicFamily::LoadGeneration(const std::string& path, const Options& options,
         meta.filename.find("..") != std::string::npos) {
       return corrupt("shard filename escapes the family directory");
     }
-    if (!r.Pod(&meta.file_size)) return corrupt("truncated shard size");
-    if (!r.Pod(&meta.file_crc)) return corrupt("truncated shard checksum");
+    if (!r.Pod(&meta.file.size)) return corrupt("truncated shard size");
+    if (!r.Pod(&meta.file.crc)) return corrupt("truncated shard checksum");
     if (!r.Vec(&meta.doc_ids) || meta.doc_ids.empty()) {
       return corrupt("empty shard document list");
     }
@@ -797,8 +800,7 @@ DynamicFamily::LoadGeneration(const std::string& path, const Options& options,
   generation->tombstones = std::move(tombstones);
   for (ShardMeta& meta : metas) {
     Result<ShardImage> bytes = OpenShardImage(
-        SiblingPath(path, meta.filename), meta.file_size, meta.file_crc,
-        options.open);
+        SiblingPath(path, meta.filename), meta.file, options.open);
     if (!bytes.ok()) return bytes.status();
     Result<GeneralizedCompactSpine> image =
         GeneralizedCompactSpine::LoadFromMemory(bytes->data, bytes->size,
@@ -815,10 +817,10 @@ DynamicFamily::LoadGeneration(const std::string& path, const Options& options,
     }
     auto shard = std::make_shared<FrozenShard>(std::move(*image));
     shard->filename = std::move(meta.filename);
-    shard->file_size = meta.file_size;
-    shard->file_crc = meta.file_crc;
+    shard->file = meta.file;
     shard->doc_ids = std::move(meta.doc_ids);
     shard->mapping = std::move(bytes->mapping);
+    if (shard->mapping == nullptr) shard->heap_image_bytes = bytes->size;
     generation->shards.push_back(std::move(shard));
   }
   generation->BuildDerived();

@@ -45,8 +45,8 @@ Result<Alphabet> AlphabetFromKindCode(uint32_t code) {
   return Status::Corruption("unknown alphabet kind " + std::to_string(code));
 }
 
-Result<ShardImage> OpenShardImage(const std::string& path, uint64_t size,
-                                  uint32_t crc,
+Result<ShardImage> OpenShardImage(const std::string& path,
+                                  const FileChecksum& expected,
                                   const core::OpenOptions& open) {
   ShardImage image;
   if (open.mode == core::OpenMode::kMmap) {
@@ -81,12 +81,13 @@ Result<ShardImage> OpenShardImage(const std::string& path, uint64_t size,
     image.data = buffer.get();
     image.keepalive = std::move(buffer);
   }
-  if (image.size != size) {
+  if (image.size != expected.size) {
     return Status::Corruption(path + ": size mismatch (manifest says " +
-                              std::to_string(size) + " bytes, file has " +
+                              std::to_string(expected.size) +
+                              " bytes, file has " +
                               std::to_string(image.size) + ")");
   }
-  if (image.verify && Crc32c(image.data, image.size) != crc) {
+  if (image.verify && Crc32c(image.data, image.size) != expected.crc) {
     return Status::Corruption(path + ": shard file checksum mismatch");
   }
   return image;

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "alphabet/alphabet.h"
+#include "common/crc32c.h"
 #include "common/status.h"
 #include "core/index.h"
 #include "storage/mmap_region.h"
@@ -46,10 +47,11 @@ struct ShardImage {
 };
 
 // Maps (OpenMode::kMmap) or reads the shard image at `path` and checks
-// its size and whole-file CRC32C against the manifest's; any mismatch
-// is kCorruption. An mmap open with `open.verify` false skips the CRC.
-Result<ShardImage> OpenShardImage(const std::string& path, uint64_t size,
-                                  uint32_t crc,
+// its size and whole-file CRC32C against the manifest's `expected`; any
+// mismatch is kCorruption. An mmap open with `open.verify` false skips
+// the CRC.
+Result<ShardImage> OpenShardImage(const std::string& path,
+                                  const FileChecksum& expected,
                                   const core::OpenOptions& open);
 
 }  // namespace spine::shard

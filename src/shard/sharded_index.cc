@@ -203,19 +203,11 @@ uint64_t ShardedIndex::MemoryBytes() const {
 Status ShardedIndex::Save(const std::string& path) const {
   const std::string base = BaseName(path);
   std::vector<std::string> names(shard_count());
-  std::vector<uint64_t> sizes(shard_count());
-  std::vector<uint32_t> crcs(shard_count());
+  std::vector<FileChecksum> files(shard_count());
   for (uint32_t i = 0; i < shard_count(); ++i) {
     names[i] = base + ".shard" + std::to_string(i);
     const std::string shard_path = path + ".shard" + std::to_string(i);
-    Status status = SaveCompactSpine(shards_[i], shard_path);
-    if (!status.ok()) return status;
-    // Re-read what actually hit the disk so the manifest pins the
-    // written bytes, not what we meant to write.
-    Result<std::string> bytes = ReadFileBytes(shard_path);
-    if (!bytes.ok()) return bytes.status();
-    sizes[i] = bytes->size();
-    crcs[i] = Crc32c(bytes->data(), bytes->size());
+    SPINE_RETURN_IF_ERROR(SaveCompactSpine(shards_[i], shard_path, &files[i]));
   }
 
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -236,8 +228,8 @@ Status ShardedIndex::Save(const std::string& path) const {
     writer.Pod(infos_[i].slice_end);
     const std::vector<char> name(names[i].begin(), names[i].end());
     writer.Vec(name);
-    writer.Pod(sizes[i]);
-    writer.Pod(crcs[i]);
+    writer.Pod(files[i].size);
+    writer.Pod(files[i].crc);
   }
   writer.WriteCrcFooter();
   out.flush();
@@ -284,15 +276,14 @@ Result<std::unique_ptr<ShardedIndex>> ShardedIndex::Load(
 
   std::vector<ShardInfo> infos(shards);
   std::vector<std::string> names(shards);
-  std::vector<uint64_t> sizes(shards);
-  std::vector<uint32_t> crcs(shards);
+  std::vector<FileChecksum> files(shards);
   uint64_t expect_start = 0;
   for (uint32_t i = 0; i < shards; ++i) {
     ShardInfo& info = infos[i];
     std::vector<char> name;
     if (!reader.Pod(&info.core_start) || !reader.Pod(&info.core_end) ||
         !reader.Pod(&info.slice_end) || !reader.Vec(&name) ||
-        !reader.Pod(&sizes[i]) || !reader.Pod(&crcs[i])) {
+        !reader.Pod(&files[i].size) || !reader.Pod(&files[i].crc)) {
       return corrupt("truncated manifest");
     }
     const std::string tag = "shard " + std::to_string(i);
@@ -323,7 +314,7 @@ Result<std::unique_ptr<ShardedIndex>> ShardedIndex::Load(
   for (uint32_t i = 0; i < shards; ++i) {
     const std::string shard_path = SiblingPath(path, names[i]);
     Result<ShardImage> image =
-        OpenShardImage(shard_path, sizes[i], crcs[i], options);
+        OpenShardImage(shard_path, files[i], options);
     if (!image.ok()) return image.status();
     Result<CompactSpineIndex> index = LoadCompactSpineFromMemory(
         image->data, image->size, image->verify, image->keepalive);

@@ -1,13 +1,22 @@
-// Tests for the common substrate: Status/Result, RNG, timer, and the
-// deadline / cooperative-cancellation primitives (common/cancel.h).
+// Tests for the common substrate: Status/Result, RNG, timer, the
+// deadline / cooperative-cancellation primitives (common/cancel.h), and
+// CRC32C (common/crc32c.h, common/serde.h's CrcStreambuf).
 
+#include <algorithm>
+#include <cstdint>
 #include <limits>
+#include <memory>
+#include <numeric>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/cancel.h"
+#include "common/crc32c.h"
 #include "common/rng.h"
+#include "common/serde.h"
 #include "common/status.h"
 #include "common/timer.h"
 
@@ -205,6 +214,99 @@ TEST(TimerTest, MeasuresElapsedTime) {
   EXPECT_EQ(timer.ElapsedMillis() > 0.0, true);
   timer.Reset();
   EXPECT_LT(timer.ElapsedSeconds(), elapsed + 1.0);
+}
+
+// Known answers pin the polynomial, reflection and xor-out: a wrong but
+// self-consistent CRC would pass every round-trip test and still make
+// every existing artifact unreadable.
+TEST(Crc32cTest, MatchesKnownAnswers) {
+  std::vector<uint8_t> zeros(32, 0x00);
+  std::vector<uint8_t> ones(32, 0xff);
+  std::vector<uint8_t> ascending(32);
+  std::iota(ascending.begin(), ascending.end(), uint8_t{0});
+  std::vector<uint8_t> descending(ascending.rbegin(), ascending.rend());
+  const std::string check = "123456789";
+  // RFC 3720 (iSCSI) §B.4 vectors, then the catalogued check value.
+  EXPECT_EQ(Crc32c(zeros.data(), zeros.size()), 0x8A9136AAu);
+  EXPECT_EQ(Crc32c(ones.data(), ones.size()), 0x62A8AB43u);
+  EXPECT_EQ(Crc32c(ascending.data(), ascending.size()), 0x46DD794Eu);
+  EXPECT_EQ(Crc32c(descending.data(), descending.size()), 0x113FDB5Cu);
+  EXPECT_EQ(Crc32c(check.data(), check.size()), 0xE3069283u);
+  EXPECT_EQ(Crc32c(nullptr, 0), 0u);
+
+  // The same answers from the table loop, whatever Crc32c dispatched to.
+  const auto table = [](const std::vector<uint8_t>& bytes) {
+    return Crc32cFinish(
+        Crc32cExtendTable(kCrc32cInit, bytes.data(), bytes.size()));
+  };
+  EXPECT_EQ(table(zeros), 0x8A9136AAu);
+  EXPECT_EQ(table(ones), 0x62A8AB43u);
+  EXPECT_EQ(table(ascending), 0x46DD794Eu);
+  EXPECT_EQ(table(descending), 0x113FDB5Cu);
+}
+
+// The hardware loop against the table loop at every length 0–1024 and
+// every start offset 0–7, each on its own exact-sized heap buffer so
+// an 8-byte load past the last byte trips ASan.
+TEST(Crc32cTest, HardwareEqualsTableAtEveryLengthAndOffset) {
+  if (!Crc32cHardwareSupported()) {
+    GTEST_SKIP() << "no SSE4.2 crc32 instruction on this CPU";
+  }
+  Rng rng(0xC5C32C);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t length = 0; length <= 1024; ++length) {
+      const size_t size = offset + length;
+      std::unique_ptr<uint8_t[]> buffer(new uint8_t[size]);
+      for (size_t i = 0; i < size; ++i) {
+        buffer[i] = static_cast<uint8_t>(rng.Next());
+      }
+      const uint8_t* data = buffer.get() + offset;
+      const uint32_t seed = static_cast<uint32_t>(rng.Next());
+      ASSERT_EQ(Crc32cExtendHardware(seed, data, length),
+                Crc32cExtendTable(seed, data, length))
+          << "length " << length << ", offset " << offset;
+    }
+  }
+}
+
+// Extending over random split points equals the one-shot checksum.
+TEST(Crc32cTest, ChainedExtendEqualsOneShot) {
+  Rng rng(17);
+  std::vector<uint8_t> bytes(4099);
+  for (uint8_t& byte : bytes) byte = static_cast<uint8_t>(rng.Next());
+  const uint32_t whole = Crc32c(bytes.data(), bytes.size());
+  for (int trial = 0; trial < 64; ++trial) {
+    uint32_t state = kCrc32cInit;
+    size_t at = 0;
+    while (at < bytes.size()) {
+      const size_t take = static_cast<size_t>(
+          rng.Between(0, std::min<uint64_t>(97, bytes.size() - at)));
+      state = Crc32cExtend(state, bytes.data() + at, take);
+      at += take;
+    }
+    ASSERT_EQ(Crc32cFinish(state), whole) << "trial " << trial;
+  }
+}
+
+// CrcStreambuf reports the size and CRC32C of exactly the bytes that
+// reached its sink, however they were handed over.
+TEST(Crc32cTest, StreambufChecksumsWhatItPasses) {
+  std::ostringstream sink;
+  serde::CrcStreambuf counted(sink.rdbuf());
+  std::ostream out(&counted);
+  serde::Writer writer(out);
+  writer.Pod<uint32_t>(0x53504e45);
+  writer.Align8();
+  writer.Vec(std::vector<uint64_t>{1, 2, 3});
+  writer.WriteCrcFooter();
+  out.put('!');
+  out << "tail";
+  out.flush();
+  ASSERT_TRUE(out.good());
+  const std::string bytes = sink.str();
+  const FileChecksum checksum = counted.checksum();
+  EXPECT_EQ(checksum.size, bytes.size());
+  EXPECT_EQ(checksum.crc, Crc32c(bytes.data(), bytes.size()));
 }
 
 }  // namespace

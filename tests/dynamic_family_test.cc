@@ -11,16 +11,21 @@
 #include <cstdint>
 #include <filesystem>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/crc32c.h"
 #include "common/rng.h"
+#include "common/serde.h"
 #include "core/generalized_spine.h"
 #include "core/query.h"
 #include "core/registry.h"
+#include "shard/shard_file.h"
+#include "shard/sharded_index.h"
 #include "test_util.h"
 
 namespace spine::shard {
@@ -220,6 +225,98 @@ TEST(DynamicFamilyTest, CompactMergesShardsDropsTombstonesAndDeadFiles) {
         << "stray file " << name;
   }
   EXPECT_EQ(files, 2u);
+}
+
+// One shard entry of a family manifest: the file it names and the size
+// and CRC32C recorded for it.
+struct ManifestEntry {
+  std::string filename;
+  uint64_t size = 0;
+  uint32_t crc = 0;
+};
+
+// Parses the v2 manifest a DynamicFamily commits at `path`.
+std::vector<ManifestEntry> ReadManifestEntries(const std::string& path) {
+  Result<std::string> bytes = ReadFileBytes(path);
+  EXPECT_TRUE(bytes.ok()) << bytes.status().ToString();
+  std::istringstream stream(bytes.ok() ? *bytes : std::string());
+  serde::Reader reader(stream);
+  uint32_t magic = 0, version = 0, alphabet = 0, next_doc_id = 0, shards = 0;
+  uint64_t generation = 0;
+  EXPECT_TRUE(reader.Pod(&magic) && reader.Pod(&version) &&
+              reader.Pod(&alphabet) && reader.Pod(&generation) &&
+              reader.Pod(&next_doc_id) && reader.Pod(&shards));
+  EXPECT_EQ(magic, kShardManifestMagic);
+  EXPECT_EQ(version, kDynamicManifestVersion);
+  std::vector<ManifestEntry> entries(shards);
+  for (ManifestEntry& entry : entries) {
+    uint32_t name_size = 0;
+    std::vector<uint32_t> doc_ids;
+    EXPECT_TRUE(reader.Pod(&name_size));
+    entry.filename.resize(name_size);
+    EXPECT_TRUE(reader.Bytes(entry.filename.data(), name_size) &&
+                reader.Pod(&entry.size) && reader.Pod(&entry.crc) &&
+                reader.Vec(&doc_ids));
+  }
+  std::vector<uint32_t> tombstones;
+  EXPECT_TRUE(reader.Vec(&tombstones) && reader.VerifyCrcFooter());
+  return entries;
+}
+
+// Every shard file the manifest at `path` lists has the size and
+// CRC32C the manifest records for it.
+void ExpectManifestMatchesShardFiles(const std::string& path,
+                                     size_t shards) {
+  const std::vector<ManifestEntry> entries = ReadManifestEntries(path);
+  ASSERT_EQ(entries.size(), shards);
+  for (const ManifestEntry& entry : entries) {
+    Result<std::string> bytes =
+        ReadFileBytes(SiblingPath(path, entry.filename));
+    ASSERT_TRUE(bytes.ok()) << entry.filename;
+    EXPECT_EQ(bytes->size(), entry.size) << entry.filename;
+    EXPECT_EQ(Crc32c(bytes->data(), bytes->size()), entry.crc)
+        << entry.filename;
+  }
+}
+
+// Flush and compaction record each new shard file's size and CRC32C
+// from the bytes they wrote; reading the files back gives the same.
+TEST(DynamicFamilyTest, ManifestRecordsTheWrittenShardBytes) {
+  ScopedTempDir dir;
+  const std::string path = dir.File("fam.spinefam");
+  auto family = DynamicFamily::Create(path, Alphabet::Dna(), HeapOptions());
+  ASSERT_TRUE(family.ok());
+  Rng rng(23);
+  for (size_t flush = 1; flush <= 3; ++flush) {
+    for (int doc = 0; doc < 4; ++doc) {
+      ASSERT_TRUE((*family)->InsertDocument(RandomDna(rng, 3'000)).ok());
+    }
+    ASSERT_TRUE((*family)->Flush().ok());
+    ExpectManifestMatchesShardFiles(path, flush);
+  }
+  ASSERT_TRUE((*family)->DeleteDocument(5).ok());
+  ASSERT_TRUE((*family)->Compact().ok());
+  ExpectManifestMatchesShardFiles(path, 1);
+  EXPECT_TRUE(DynamicFamily::Open(path, HeapOptions()).ok());
+}
+
+// A heap-opened frozen shard borrows its tables from the image buffer,
+// so the family's memory figure must count that buffer.
+TEST(DynamicFamilyTest, HeapReopenCountsTheShardImage) {
+  ScopedTempDir dir;
+  const std::string path = dir.File("fam.spinefam");
+  Rng rng(50);
+  {
+    auto family = DynamicFamily::Create(path, Alphabet::Dna(), HeapOptions());
+    ASSERT_TRUE(family.ok());
+    ASSERT_TRUE((*family)->InsertDocument(RandomDna(rng, 50'000)).ok());
+    ASSERT_TRUE((*family)->Flush().ok());
+  }
+  const std::vector<ManifestEntry> entries = ReadManifestEntries(path);
+  ASSERT_EQ(entries.size(), 1u);
+  auto reopened = DynamicFamily::Open(path, HeapOptions());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_GE((*reopened)->MemoryBytes(), entries[0].size);
 }
 
 TEST(DynamicFamilyTest, ReloadDiscardsVolatileState) {

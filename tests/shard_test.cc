@@ -15,9 +15,12 @@
 
 #include <gtest/gtest.h>
 
+#include "common/crc32c.h"
 #include "common/rng.h"
+#include "common/serde.h"
 #include "compact/compact_spine.h"
 #include "core/query.h"
+#include "shard/shard_file.h"
 #include "test_util.h"
 
 namespace spine::shard {
@@ -208,6 +211,62 @@ TEST(ShardedIndexTest, SaveLoadRoundTripIsExact) {
       EXPECT_TRUE(after.SameAnswer(before))
           << QueryKindName(query.kind) << " \"" << pattern << "\"";
     }
+  }
+}
+
+// One shard entry of a .spinefam manifest: the file it names and the
+// size and CRC32C recorded for it.
+struct ManifestEntry {
+  std::string filename;
+  uint64_t size = 0;
+  uint32_t crc = 0;
+};
+
+// Parses the manifest ShardedIndex::Save writes at `path`.
+std::vector<ManifestEntry> ReadManifestEntries(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  serde::Reader reader(in);
+  uint32_t magic = 0, version = 0, alphabet = 0, shards = 0, margin = 0;
+  uint64_t n = 0;
+  EXPECT_TRUE(reader.Pod(&magic) && reader.Pod(&version) &&
+              reader.Pod(&alphabet) && reader.Pod(&n) &&
+              reader.Pod(&shards) && reader.Pod(&margin));
+  EXPECT_EQ(magic, kShardManifestMagic);
+  EXPECT_EQ(version, kShardManifestVersion);
+  std::vector<ManifestEntry> entries(shards);
+  for (ManifestEntry& entry : entries) {
+    uint64_t core_start = 0, core_end = 0, slice_end = 0;
+    std::vector<char> name;
+    EXPECT_TRUE(reader.Pod(&core_start) && reader.Pod(&core_end) &&
+                reader.Pod(&slice_end) && reader.Vec(&name) &&
+                reader.Pod(&entry.size) && reader.Pod(&entry.crc));
+    entry.filename.assign(name.begin(), name.end());
+  }
+  EXPECT_TRUE(reader.VerifyCrcFooter());
+  return entries;
+}
+
+// Save records each shard file's size and CRC32C from the bytes it
+// wrote; reading the files back must give the same values.
+TEST(ShardedIndexTest, ManifestRecordsTheWrittenShardBytes) {
+  ScopedTempDir dir("shard_manifest_crc");
+  Rng rng(47);
+  const std::string text = RandomDna(rng, 40'000);
+  auto built = ShardedIndex::Build(Alphabet::Dna(), text,
+                                   {.shards = 3, .max_pattern = 24});
+  ASSERT_TRUE(built.ok());
+  const std::string path = dir.File("family.spinefam");
+  ASSERT_TRUE((*built)->Save(path).ok());
+
+  const std::vector<ManifestEntry> entries = ReadManifestEntries(path);
+  ASSERT_EQ(entries.size(), 3u);
+  for (const ManifestEntry& entry : entries) {
+    Result<std::string> bytes =
+        ReadFileBytes(SiblingPath(path, entry.filename));
+    ASSERT_TRUE(bytes.ok()) << entry.filename;
+    EXPECT_EQ(bytes->size(), entry.size) << entry.filename;
+    EXPECT_EQ(Crc32c(bytes->data(), bytes->size()), entry.crc)
+        << entry.filename;
   }
 }
 

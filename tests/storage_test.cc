@@ -633,16 +633,25 @@ TEST(MmapRegionTest, MapSharedDeduplicatesLiveMappings) {
   spine::test::WriteFile(path, std::string(8192, 'a'));
   spine::obs::Gauge& hits =
       spine::obs::Registry::Default().GetGauge("storage.mmap.cache_hits");
-  const int64_t hits_before = hits.value();
+  [[maybe_unused]] const int64_t hits_before = hits.value();
+  // The gauge moves only where the capture sites are compiled in; the
+  // mapping-identity checks hold in every build.
+  const auto expect_hits = [&](int64_t added) {
+#if defined(SPINE_OBS_DISABLED)
+    (void)added;
+#else
+    EXPECT_EQ(hits.value(), hits_before + added);
+#endif
+  };
 
   auto first = MmapRegion::MapShared(path);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
-  EXPECT_EQ(hits.value(), hits_before);  // first open is a miss
+  expect_hits(0);  // first open is a miss
 
   auto second = MmapRegion::MapShared(path);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(first->get(), second->get());  // same physical mapping
-  EXPECT_EQ(hits.value(), hits_before + 1);
+  expect_hits(1);
 
   // Different mapping-relevant options must NOT share: a populated
   // mapping is not byte-equivalent in behavior to a lazy one.
@@ -651,17 +660,15 @@ TEST(MmapRegionTest, MapSharedDeduplicatesLiveMappings) {
   auto distinct = MmapRegion::MapShared(path, populate);
   ASSERT_TRUE(distinct.ok()) << distinct.status().ToString();
   EXPECT_NE(first->get(), distinct->get());
-  EXPECT_EQ(hits.value(), hits_before + 1);
+  expect_hits(1);
 
   // Once the last holder releases, the next open maps afresh (a
   // replaced artifact is picked up), so it is a miss again.
-  const MmapRegion* stale = first->get();
   first->reset();
   second->reset();
   auto remapped = MmapRegion::MapShared(path);
   ASSERT_TRUE(remapped.ok());
-  EXPECT_EQ(hits.value(), hits_before + 1);
-  (void)stale;  // the old pointer is dead; only the miss count matters
+  expect_hits(1);
 }
 
 // A cached region whose backing file shrank under it is dropped and
