@@ -1,6 +1,7 @@
 #include "align/edit_distance.h"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -23,93 +24,93 @@ uint32_t EditDistance(std::string_view a, std::string_view b) {
   return row[a.size()];
 }
 
+namespace {
+
+// The last row of a band pass: the distances from all of `a` to the
+// prefixes b[0..first), b[0..first + 1), ..., each capped at d + 1.
+struct LastRow {
+  uint32_t first = 0;
+  std::span<const uint32_t> cells;
+};
+
+// The band's one row, reused by every pass on this thread: a verifier
+// allocates only when its budget first grows.
+thread_local std::vector<uint32_t> band_row;
+
+// Fills the table D[i][j] = edit distance(a[0..i), b[0..j)) row by row,
+// computing only the diagonals |i - j| <= d: any cell off them costs
+// more than d, and so does every path through one. Row i is updated in
+// place, slot k holding column j = i + k - d; reading slot k (the
+// diagonal) and k + 1 (the cell above) before overwriting slot k leaves
+// slot k - 1 already holding the cell to the left. A row whose band is
+// all past d ends the pass (Ukkonen's cutoff: no later row can come back
+// under it). Cost: |a| * (2d + 1) cells at most.
+std::optional<LastRow> BandPass(std::string_view a, std::string_view b,
+                                uint32_t max_edits) {
+  const int64_t m = static_cast<int64_t>(a.size());
+  const int64_t w = static_cast<int64_t>(b.size());
+  // No cell exceeds max(m, w), so a wider band changes nothing.
+  const int64_t d = std::min<int64_t>(max_edits, std::max(m, w));
+  const uint32_t kInf = static_cast<uint32_t>(d) + 1;
+  // Slots -1 and 2d + 1 stay kInf: the band's edges read them.
+  band_row.assign(static_cast<size_t>(2 * d + 3), kInf);
+  uint32_t* const slot = band_row.data() + 1;
+  for (int64_t j = 0; j <= std::min(w, d); ++j) {
+    slot[j + d] = static_cast<uint32_t>(j);
+  }
+  int64_t lo = 0;
+  int64_t hi = std::min(w, d);
+  for (int64_t i = 1; i <= m; ++i) {
+    lo = std::max<int64_t>(0, i - d);
+    hi = std::min(w, i + d);
+    if (lo > hi) return std::nullopt;  // the band has left the window
+    const char c = a[static_cast<size_t>(i - 1)];
+    uint32_t* cell = slot + (lo - i + d);
+    uint32_t row_min = kInf;
+    int64_t j = lo;
+    if (j == 0) {
+      *cell++ = static_cast<uint32_t>(i);  // i <= d here
+      row_min = static_cast<uint32_t>(i);
+      ++j;
+    }
+    for (const char* column = b.data() + (j - 1); j <= hi;
+         ++j, ++cell, ++column) {
+      const uint32_t v = std::min(
+          std::min(cell[0] + (c == *column ? 0u : 1u),
+                   std::min(cell[1], cell[-1]) + 1),
+          kInf);
+      *cell = v;
+      row_min = std::min(row_min, v);
+    }
+    if (row_min == kInf) return std::nullopt;
+  }
+  return LastRow{static_cast<uint32_t>(lo),
+                 {slot + (lo - m + d), static_cast<size_t>(hi - lo + 1)}};
+}
+
+}  // namespace
+
 std::optional<uint32_t> BandedEditDistance(std::string_view a,
                                            std::string_view b,
                                            uint32_t max_edits) {
-  const size_t la = a.size(), lb = b.size();
-  const uint64_t len_gap = la > lb ? la - lb : lb - la;
+  const uint64_t len_gap =
+      a.size() > b.size() ? a.size() - b.size() : b.size() - a.size();
   if (len_gap > max_edits) return std::nullopt;
-  const int64_t band = static_cast<int64_t>(max_edits);
-  const uint32_t kInf = max_edits + 1;
-
-  // Row-by-row DP restricted to the diagonal band |i - j| <= band.
-  std::vector<uint32_t> prev(2 * max_edits + 2, kInf);
-  std::vector<uint32_t> cur(2 * max_edits + 2, kInf);
-  // Column j maps to band slot j - i + band (valid slots 0..2*band).
-  // Row 0: distance j for j <= band.
-  for (int64_t slot = 0; slot <= 2 * band; ++slot) {
-    int64_t j = slot - band;  // i = 0
-    if (j >= 0 && j <= static_cast<int64_t>(lb)) {
-      prev[slot] = static_cast<uint32_t>(j);
-    }
-  }
-  for (int64_t i = 1; i <= static_cast<int64_t>(la); ++i) {
-    std::fill(cur.begin(), cur.end(), kInf);
-    for (int64_t slot = 0; slot <= 2 * band; ++slot) {
-      int64_t j = i + slot - band;
-      if (j < 0 || j > static_cast<int64_t>(lb)) continue;
-      uint32_t best = kInf;
-      if (j == 0) {
-        best = static_cast<uint32_t>(i);
-      } else {
-        // Diagonal (i-1, j-1) is the same slot in the previous row.
-        if (prev[slot] < kInf) {
-          uint32_t cost = a[i - 1] == b[j - 1] ? 0 : 1;
-          best = std::min(best, prev[slot] + cost);
-        }
-        // Left (i, j-1) is slot - 1 in the current row.
-        if (slot > 0 && cur[slot - 1] < kInf) {
-          best = std::min(best, cur[slot - 1] + 1);
-        }
-        // Up (i-1, j) is slot + 1 in the previous row.
-        if (slot < 2 * band && prev[slot + 1] < kInf) {
-          best = std::min(best, prev[slot + 1] + 1);
-        }
-      }
-      if (best <= max_edits) cur[slot] = best;
-    }
-    std::swap(prev, cur);
-  }
-  int64_t final_slot = static_cast<int64_t>(lb) - static_cast<int64_t>(la) +
-                       band;
-  if (final_slot < 0 || final_slot > 2 * band) return std::nullopt;
-  uint32_t result = prev[final_slot];
-  if (result > max_edits) return std::nullopt;
-  return result;
+  // Column |b| is then inside the band: the last cell of the last row.
+  const std::optional<LastRow> row = BandPass(a, b, max_edits);
+  if (!row.has_value() || row->cells.back() > max_edits) return std::nullopt;
+  return row->cells.back();
 }
 
 std::optional<std::pair<uint32_t, uint32_t>> BestPrefixEditDistance(
     std::string_view pattern, std::string_view window, uint32_t max_edits) {
-  const uint32_t m = static_cast<uint32_t>(pattern.size());
-  const uint32_t w = static_cast<uint32_t>(window.size());
-  const uint32_t kInf = max_edits + 1;
-  // dp[j] = edit distance between pattern[0..i) and window[0..j).
-  std::vector<uint32_t> dp(w + 1), next(w + 1);
-  for (uint32_t j = 0; j <= w; ++j) dp[j] = j <= max_edits ? j : kInf;
-  for (uint32_t i = 1; i <= m; ++i) {
-    next[0] = i <= max_edits ? i : kInf;
-    for (uint32_t j = 1; j <= w; ++j) {
-      uint32_t best = kInf;
-      if (dp[j - 1] < kInf) {
-        best = std::min(best,
-                        dp[j - 1] + (pattern[i - 1] == window[j - 1] ? 0 : 1));
-      }
-      if (dp[j] < kInf) best = std::min(best, dp[j] + 1);
-      if (next[j - 1] < kInf) best = std::min(best, next[j - 1] + 1);
-      next[j] = best > max_edits ? kInf : best;
-    }
-    std::swap(dp, next);
-  }
-  uint32_t best_edits = kInf;
-  uint32_t best_len = 0;
-  for (uint32_t j = 0; j <= w; ++j) {
-    if (dp[j] < best_edits) {
-      best_edits = dp[j];
-      best_len = j;
-    }
-  }
-  if (best_edits > max_edits) return std::nullopt;
-  return std::make_pair(best_edits, best_len);
+  const std::optional<LastRow> row = BandPass(pattern, window, max_edits);
+  if (!row.has_value()) return std::nullopt;
+  // min_element keeps the first, i.e. shortest, of equal distances.
+  const auto best = std::min_element(row->cells.begin(), row->cells.end());
+  if (*best > max_edits) return std::nullopt;
+  return std::make_pair(
+      *best, row->first + static_cast<uint32_t>(best - row->cells.begin()));
 }
 
 }  // namespace spine::align

@@ -13,7 +13,9 @@
 // verified by a shared extender:
 //   - kMismatch: positional code comparison with early budget exit;
 //   - kEditDistance: align::BestPrefixEditDistance, the banded
-//     semi-global DP (fewest edits, then shortest prefix).
+//     semi-global DP (fewest edits, then shortest prefix): m x (2d + 1)
+//     cells at most, stopping at the first pattern row whose band is
+//     all past d.
 // Because verification is shared, the seed path and the scan path
 // return bit-identical hits — the property the approx differential
 // suite pins against an independent O(n*m) oracle.

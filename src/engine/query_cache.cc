@@ -4,9 +4,21 @@
 #include <cstring>
 #include <utility>
 
+#include "obs/metrics.h"
+
 namespace spine::engine {
 
-QueryCache::QueryCache(uint64_t capacity_bytes) : capacity_(capacity_bytes) {}
+namespace {
+
+constexpr uint64_t kMinProbationBytes = uint64_t{1} << 20;
+
+}  // namespace
+
+QueryCache::QueryCache(uint64_t capacity_bytes) : capacity_(capacity_bytes) {
+  probation_.capacity =
+      std::min(capacity_, std::max(capacity_ / 16, kMinProbationBytes));
+  protected_.capacity = capacity_ - probation_.capacity;
+}
 
 std::string QueryCache::Key(uint64_t backend_id, const Query& query) {
   std::string key;
@@ -168,42 +180,67 @@ std::optional<QueryResult> QueryCache::Get(std::string_view key) {
     ++counters_.misses;
     return std::nullopt;
   }
-  lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
   ++counters_.hits;
-  return Decode(*it->second);
+  const std::list<Entry>::iterator entry = it->second;
+  if (!entry->in_protected && entry->bytes <= protected_.capacity) {
+    probation_.size -= entry->bytes;
+    protected_.size += entry->bytes;
+    entry->in_protected = true;
+    protected_.entries.splice(protected_.entries.begin(), probation_.entries,
+                              entry);
+    ++counters_.promotions;
+    SPINE_OBS_COUNT("engine.cache_promotions", 1);
+    Trim(protected_);  // never evicts `entry`: it fits protected alone
+  } else {
+    // Protected entries, and probation entries larger than all of
+    // protected (promoting one would flush it), refresh in place.
+    Segment& segment = SegmentOf(*entry);
+    segment.entries.splice(segment.entries.begin(), segment.entries, entry);
+  }
+  return Decode(*entry);
 }
 
 void QueryCache::Put(std::string_view key, const QueryResult& result) {
   if (!enabled()) return;
   std::string blob = Encode(key, result);
   const uint64_t bytes = ChargedBytes(blob);
-  if (bytes > capacity_) return;  // would evict everything for one entry
+  // Would evict all of probation for one entry.
+  if (bytes > probation_.capacity) return;
   std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(key);
   if (it != index_.end()) {
     // Another thread answered the same query first; the stored answer
     // is the same (answers are deterministic), so only refresh it.
-    lru_.splice(lru_.begin(), lru_, it->second);
-  } else {
-    lru_.push_front(Entry{std::move(blob), key.size(), bytes});
-    index_.emplace(lru_.front().key(), lru_.begin());
-    size_ += bytes;
-    ++counters_.insertions;
+    Segment& segment = SegmentOf(*it->second);
+    segment.entries.splice(segment.entries.begin(), segment.entries,
+                           it->second);
+    return;
   }
-  while (size_ > capacity_) {
-    Entry& victim = lru_.back();
-    size_ -= victim.bytes;
+  probation_.entries.push_front(Entry{std::move(blob), key.size(), bytes});
+  index_.emplace(probation_.entries.front().key(),
+                 probation_.entries.begin());
+  probation_.size += bytes;
+  ++counters_.insertions;
+  Trim(probation_);
+}
+
+void QueryCache::Trim(Segment& segment) {
+  while (segment.size > segment.capacity) {
+    const Entry& victim = segment.entries.back();
+    segment.size -= victim.bytes;
     index_.erase(victim.key());
-    lru_.pop_back();
+    segment.entries.pop_back();
     ++counters_.evictions;
   }
 }
 
 void QueryCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  lru_.clear();
+  for (Segment* segment : {&probation_, &protected_}) {
+    segment->entries.clear();
+    segment->size = 0;
+  }
   index_.clear();
-  size_ = 0;
 }
 
 QueryCache::Counters QueryCache::counters() const {
@@ -213,12 +250,12 @@ QueryCache::Counters QueryCache::counters() const {
 
 uint64_t QueryCache::size_bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return size_;
+  return probation_.size + protected_.size;
 }
 
 uint64_t QueryCache::entry_count() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return lru_.size();
+  return probation_.entries.size() + protected_.entries.size();
 }
 
 }  // namespace spine::engine

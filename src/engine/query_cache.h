@@ -1,11 +1,20 @@
-// Thread-safe LRU cache of QueryResults, keyed on
+// Thread-safe result cache of QueryResults, keyed on
 // (backend id, query kind, kind parameters, pattern).
 //
 // The engine consults it before touching a backend: skewed query
 // workloads (hot patterns, retried requests) short-circuit to a stored
-// answer. Capacity is a byte budget; insertion evicts from the
-// least-recently-used end until the budget holds. A capacity of zero
-// disables the cache entirely (Get always misses, Put is a no-op).
+// answer. Capacity is a byte budget; a capacity of zero disables the
+// cache entirely (Get always misses, Put is a no-op).
+//
+// Admission follows 2Q (Johnson & Shasha, VLDB 1994), without its
+// ghost queue. A new answer enters a probation LRU of at most
+// max(budget / 16, 1 MiB), never more than the budget. A hit promotes
+// it to the protected LRU, which holds the rest of the budget, unless
+// it alone is larger than protected: then it stays on probation. So a
+// stream of one-off answers churns probation alone and holds at most
+// its cap, while an answer asked again within the cap of new answers
+// stays. A budget of 1 MiB or less leaves protected empty, which makes
+// it a plain LRU.
 //
 // Each entry keeps its key and its answer in one buffer, the answer
 // varint-encoded (hit positions as deltas), and is charged what it
@@ -55,11 +64,14 @@ class QueryCache {
 
   bool enabled() const { return capacity_ > 0; }
 
-  // Returns a copy of the stored answer and refreshes its recency.
+  // Returns a copy of the stored answer; a probation entry moves to
+  // protected if it fits there, any other to the front of its segment.
   std::optional<QueryResult> Get(std::string_view key);
-  // Stores the answer unless the key is already cached (answers are
-  // deterministic, so only its recency is refreshed then).
+  // Stores the answer on probation unless the key is already cached
+  // (answers are deterministic, so only its recency is refreshed then)
+  // or the answer alone is larger than probation.
   void Put(std::string_view key, const QueryResult& result);
+  // Empties both segments.
   void Clear();
 
   // Heap bytes the entry Put(key, result) would occupy, as a 64-bit
@@ -73,10 +85,12 @@ class QueryCache {
     uint64_t misses = 0;
     uint64_t insertions = 0;
     uint64_t evictions = 0;
+    uint64_t promotions = 0;  // probation -> protected on a hit
   };
   Counters counters() const;
 
   uint64_t capacity_bytes() const { return capacity_; }
+  // Bytes charged to stored entries, both segments.
   uint64_t size_bytes() const;
   uint64_t entry_count() const;
 
@@ -85,7 +99,14 @@ class QueryCache {
     std::string blob;  // the key, then the encoded answer
     size_t key_size = 0;
     uint64_t bytes = 0;
+    bool in_protected = false;
     std::string_view key() const { return {blob.data(), key_size}; }
+  };
+  // One segment: front = most recently stored or used.
+  struct Segment {
+    std::list<Entry> entries;
+    uint64_t size = 0;
+    uint64_t capacity = 0;
   };
   using KeyIndex =
       std::unordered_map<std::string_view, std::list<Entry>::iterator,
@@ -95,13 +116,19 @@ class QueryCache {
   static QueryResult Decode(const Entry& entry);
   static uint64_t ChargedBytes(const std::string& blob);
 
+  Segment& SegmentOf(const Entry& entry) {
+    return entry.in_protected ? protected_ : probation_;
+  }
+  // Evicts from the back of `segment` until it fits its capacity.
+  void Trim(Segment& segment);
+
   const uint64_t capacity_;
   mutable std::mutex mu_;
-  // Front = most recently used. The map indexes into the list, keyed by
-  // a view of each entry's own key bytes (list nodes never move).
-  std::list<Entry> lru_;
+  // The map indexes into both segments' lists, keyed by a view of each
+  // entry's own key bytes (list nodes never move, splicing included).
+  Segment probation_;
+  Segment protected_;
   KeyIndex index_;
-  uint64_t size_ = 0;
   Counters counters_;
 };
 

@@ -13,7 +13,7 @@
 // through one per-index mutex. The batch still benefits from cache hits
 // and from overlapping with other indexes.
 //
-// The optional LRU result cache (engine/query_cache.h) is keyed per
+// The optional result cache (engine/query_cache.h) is keyed per
 // (Index::cache_id(), query); ids are issued at Index construction, so
 // two live indexes can never collide.
 //

@@ -5,7 +5,10 @@
 // SearchStats the queries report.
 
 #include <algorithm>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -57,6 +60,128 @@ TEST(EditDistanceTest, BandedAgreesWithFullWithinBudget) {
         ASSERT_FALSE(banded.has_value()) << a << " vs " << b << " @" << budget;
       }
     }
+  }
+}
+
+// The last row of the full (m + 1) x (|window| + 1) edit-distance
+// table, no band and no cap: row[j] = distance(pattern, window[0..j)).
+std::vector<uint32_t> FullLastRow(std::string_view pattern,
+                                  std::string_view window) {
+  std::vector<uint32_t> row(window.size() + 1);
+  for (size_t j = 0; j <= window.size(); ++j) {
+    row[j] = static_cast<uint32_t>(j);
+  }
+  for (size_t i = 1; i <= pattern.size(); ++i) {
+    uint32_t diagonal = row[0];
+    row[0] = static_cast<uint32_t>(i);
+    for (size_t j = 1; j <= window.size(); ++j) {
+      const uint32_t up = row[j];
+      const uint32_t substitute =
+          diagonal + (pattern[i - 1] == window[j - 1] ? 0u : 1u);
+      row[j] = std::min({up + 1, row[j - 1] + 1, substitute});
+      diagonal = up;
+    }
+  }
+  return row;
+}
+
+// Holds both banded routines to the full table for one case.
+void ExpectBandMatchesFullTable(const std::string& pattern,
+                                const std::string& window, uint32_t d) {
+  const std::vector<uint32_t> row = FullLastRow(pattern, window);
+  const auto best = std::min_element(row.begin(), row.end());
+  std::optional<std::pair<uint32_t, uint32_t>> expected;
+  if (*best <= d) {
+    expected =
+        std::make_pair(*best, static_cast<uint32_t>(best - row.begin()));
+  }
+  ASSERT_EQ(BestPrefixEditDistance(pattern, window, d), expected)
+      << pattern << " in " << window << " @" << d;
+  std::optional<uint32_t> whole;
+  if (row.back() <= d) whole = row.back();
+  ASSERT_EQ(BandedEditDistance(pattern, window, d), whole)
+      << pattern << " vs " << window << " @" << d;
+}
+
+TEST(EditDistanceTest, BandEdgesMatchTheFullTable) {
+  const std::string pattern = "ACGTACGT";  // m = 8
+  // The best prefix ends at j = m - d: the read lost its last two bases.
+  EXPECT_EQ(BestPrefixEditDistance(pattern, "ACGTACAA", 2),
+            std::make_pair(2u, 6u));
+  // ... and at j = m + d: two bases were inserted.
+  EXPECT_EQ(BestPrefixEditDistance(pattern, "ACGTAAACGT", 2),
+            std::make_pair(2u, 10u));
+  // A separator or the end of the text clips the window below m + d.
+  EXPECT_EQ(BestPrefixEditDistance(pattern, "ACGTACG", 2),
+            std::make_pair(1u, 7u));
+  EXPECT_EQ(BestPrefixEditDistance(pattern, "ACGTAC", 2),
+            std::make_pair(2u, 6u));
+  EXPECT_EQ(BestPrefixEditDistance(pattern, "ACGTA", 2), std::nullopt);
+  EXPECT_EQ(BestPrefixEditDistance(pattern, "", 2), std::nullopt);
+  // d = 0 is an exact prefix test.
+  EXPECT_EQ(BestPrefixEditDistance(pattern, "ACGTACGTA", 0),
+            std::make_pair(0u, 8u));
+  EXPECT_EQ(BestPrefixEditDistance(pattern, "ACGTACGA", 0), std::nullopt);
+  EXPECT_EQ(BestPrefixEditDistance(pattern, "ACGTACG", 0), std::nullopt);
+  EXPECT_EQ(BandedEditDistance(pattern, pattern, 0), 0u);
+  EXPECT_EQ(BandedEditDistance(pattern, "ACGTACGA", 0), std::nullopt);
+  // A budget far past both lengths is the plain distance.
+  EXPECT_EQ(BandedEditDistance("ACGT", "TTTTTTTT", 1'000'000'000), 7u);
+  for (const char* window :
+       {"ACGTACAA", "ACGTAAACGT", "ACGTACG", "ACGTAC", "ACGTA", "",
+        "ACGTACGTA", "ACGTACGA"}) {
+    for (uint32_t d = 0; d < pattern.size(); ++d) {
+      ASSERT_NO_FATAL_FAILURE(ExpectBandMatchesFullTable(pattern, window, d));
+    }
+  }
+
+  // Through the index: the text ends 7 characters into the read, and a
+  // hit there is reported with the clipped window.
+  CompactSpineIndex index(Alphabet::Dna());
+  ASSERT_TRUE(index.AppendString("TTTTTTTTACGTACG").ok());
+  const QueryResult result =
+      ExecuteQuery(index, Query::EditDistance(pattern, 2));
+  ASSERT_TRUE(result.ok()) << result.error;
+  EXPECT_NE(std::find(result.hits.begin(), result.hits.end(), Hit{8, 7, 1}),
+            result.hits.end());
+}
+
+TEST(EditDistanceTest, BandSweepMatchesTheFullTable) {
+  Rng rng(2024);
+  for (int round = 0; round < 50'000; ++round) {
+    const uint32_t m = 1 + static_cast<uint32_t>(rng.Below(40));
+    const uint32_t d = static_cast<uint32_t>(rng.Below(m));
+    const uint32_t w = static_cast<uint32_t>(rng.Below(m + d + 2));
+    const uint32_t sigma = 1 + static_cast<uint32_t>(rng.Below(4));
+    const std::string pattern = RandomString(rng, m, sigma);
+    std::string window;
+    if (round % 2 == 0) {
+      window = RandomString(rng, w, sigma);
+    } else {
+      // A near-copy: the pattern with up to d + 1 random edits, then
+      // cut or padded to the window length.
+      window = pattern;
+      const uint64_t edits = rng.Below(d + 2);
+      for (uint64_t e = 0; e < edits; ++e) {
+        const size_t at = rng.Below(window.size() + 1);
+        const char c = RandomString(rng, 1, sigma)[0];
+        switch (rng.Below(3)) {
+          case 0:
+            if (at < window.size()) window[at] = c;
+            break;
+          case 1:
+            window.insert(at, 1, c);
+            break;
+          default:
+            if (at < window.size()) window.erase(at, 1);
+            break;
+        }
+      }
+      if (window.size() > w) window.resize(w);
+      window += RandomString(rng, w - static_cast<uint32_t>(window.size()),
+                             sigma);
+    }
+    ASSERT_NO_FATAL_FAILURE(ExpectBandMatchesFullTable(pattern, window, d));
   }
 }
 

@@ -395,6 +395,26 @@ TEST(CliTest, BatchTraceEmitsPerQueryTraces) {
   EXPECT_EQ(pdoc->Find("batch")->Find("traces"), nullptr);
 }
 
+TEST(CliTest, BatchStatsJsonReportsCacheAdmission) {
+  const std::string fasta = TempPath("cli_admit.fa");
+  const std::string index = TempPath("cli_admit.spine");
+  const std::string patterns = TempPath("cli_admit.txt");
+  WriteFile(fasta, ">seq\nACGTACGTACGTACGT\n");
+  ASSERT_EQ(RunCli({"build", fasta, index}).code, 0);
+  // Stored on probation, promoted by the first repeat, then protected.
+  WriteFile(patterns, "ACGT\nACGT\nACGT\ncontains TTTT\n");
+
+  CliResult batch = RunCli({"batch", index, patterns, "--threads=1",
+                            "--cache-mb=16", "--stats-json"});
+  ASSERT_EQ(batch.code, 0) << batch.err;
+  Result<obs::JsonValue> doc = ParseTrailingJson(batch.out);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString() << "\n" << batch.out;
+  const obs::JsonValue* section = doc->Find("batch");
+  ASSERT_NE(section, nullptr);
+  EXPECT_DOUBLE_EQ(section->Find("cache_hits")->number, 2.0);
+  EXPECT_DOUBLE_EQ(section->Find("cache_promotions")->number, 1.0);
+}
+
 TEST(CliTest, QueryOnMissingIndexFails) {
   EXPECT_EQ(RunCli({"query", "/nonexistent.spine", "ACGT"}).code, 1);
   EXPECT_EQ(RunCli({"stats", "/nonexistent.spine"}).code, 1);

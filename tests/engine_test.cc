@@ -1,9 +1,11 @@
 // Tests for the concurrent batch query engine: the work-stealing pool,
-// the LRU result cache, determinism across thread counts, and agreement
-// across backends consumed through the core::Index interface.
+// the result cache and its admission, determinism across thread counts,
+// and agreement across backends consumed through the core::Index
+// interface.
 
 #include "engine/query_engine.h"
 
+#include <algorithm>
 #include <atomic>
 #include <future>
 #include <memory>
@@ -200,6 +202,143 @@ TEST(QueryCacheTest, ZeroCapacityDisables) {
   cache.Put("k", r);
   EXPECT_FALSE(cache.Get("k").has_value());
   EXPECT_EQ(cache.entry_count(), 0u);
+}
+
+// Admission: a 16 MiB cache puts new answers on probation, capped at
+// max(budget / 16, 1 MiB), and keeps only what is asked again.
+constexpr uint64_t kAdmissionBudget = uint64_t{16} << 20;
+constexpr uint64_t kProbationCap =
+    std::max<uint64_t>(kAdmissionBudget / 16, uint64_t{1} << 20);
+
+std::string ReadKey(uint64_t i) {
+  return QueryCache::Key(
+      1, Query::EditDistance("read-" + std::to_string(i), 2));
+}
+
+// An answer of `hits` hits, ~4 encoded bytes each.
+QueryResult ReadAnswer(uint32_t hits) {
+  QueryResult answer;
+  answer.found = true;
+  for (uint32_t h = 0; h < hits; ++h) {
+    answer.hits.push_back({h * 977, 100, 2});
+  }
+  return answer;
+}
+
+TEST(QueryCacheTest, OneOffAnswersStayWithinProbation) {
+  spine::test::RegistryDelta delta;
+  QueryCache cache(kAdmissionBudget);
+  // An entry hit once is promoted to protected and outlives the flood.
+  const QueryResult kept = ReadAnswer(3);
+  const std::string kept_key = QueryCache::Key(1, Query::FindAll("ACGT"));
+  cache.Put(kept_key, kept);
+  ASSERT_TRUE(cache.Get(kept_key).has_value());
+  EXPECT_EQ(cache.counters().promotions, 1u);
+  const uint64_t kept_bytes = cache.size_bytes();
+
+  const QueryResult answer = ReadAnswer(40);
+  uint64_t largest = 0;
+  uint64_t total = 0;
+  for (uint64_t i = 0; i < 100'000; ++i) {
+    const std::string key = ReadKey(i);
+    const uint64_t bytes = QueryCache::EntryBytes(key, answer);
+    largest = std::max(largest, bytes);
+    total += bytes;
+    cache.Put(key, answer);
+  }
+  // A plain LRU would hold the whole budget.
+  ASSERT_GT(total, 2 * kAdmissionBudget);
+  const uint64_t one_offs = cache.size_bytes() - kept_bytes;
+  EXPECT_LE(one_offs, kProbationCap + largest);
+  EXPECT_GE(one_offs, kProbationCap - largest);
+  const QueryCache::Counters counters = cache.counters();
+  EXPECT_EQ(counters.insertions, 100'001u);
+  EXPECT_EQ(counters.evictions, 100'001u - cache.entry_count());
+  EXPECT_EQ(counters.promotions, 1u);
+
+  const std::optional<QueryResult> got = cache.Get(kept_key);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_TRUE(got->SameAnswer(kept));
+  EXPECT_EQ(cache.counters().promotions, 1u);  // already protected
+
+#if defined(SPINE_OBS_DISABLED)
+  // Capture site compiled out: the registry never hears of admission.
+  EXPECT_EQ(delta.Counter("engine.cache_promotions"), 0u);
+#else
+  EXPECT_EQ(delta.Counter("engine.cache_promotions"), 1u);
+#endif
+}
+
+TEST(QueryCacheTest, AnswerLargerThanProbationIsNotStored) {
+  QueryCache cache(kAdmissionBudget);
+  const QueryResult small = ReadAnswer(40);
+  for (uint64_t i = 0; i < 100; ++i) cache.Put(ReadKey(i), small);
+  const uint64_t resident = cache.size_bytes();
+  const QueryResult large = ReadAnswer(400'000);
+  const std::string large_key = QueryCache::Key(1, Query::FindAll("A"));
+  ASSERT_GT(QueryCache::EntryBytes(large_key, large), kProbationCap);
+
+  // Stored, it would evict all of probation for one entry.
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    cache.Put(large_key, large);
+    EXPECT_EQ(cache.size_bytes(), resident);
+    EXPECT_FALSE(cache.Get(large_key).has_value());
+  }
+  EXPECT_EQ(cache.counters().insertions, 100u);
+  for (uint64_t i = 0; i < 100; ++i) {
+    EXPECT_TRUE(cache.Get(ReadKey(i)).has_value()) << i;
+  }
+}
+
+TEST(QueryCacheTest, HitTooLargeForProtectedStaysOnProbation) {
+  // 1.5 MiB: 1 MiB of probation, 0.5 MiB of protected.
+  QueryCache cache(uint64_t{3} << 19);
+  const QueryResult small = ReadAnswer(40);
+  for (uint64_t i = 0; i < 10; ++i) {
+    cache.Put(ReadKey(i), small);
+    ASSERT_TRUE(cache.Get(ReadKey(i)).has_value());
+  }
+  ASSERT_EQ(cache.counters().promotions, 10u);
+  const QueryResult large = ReadAnswer(180'000);
+  const std::string large_key = QueryCache::Key(1, Query::FindAll("A"));
+  const uint64_t large_bytes = QueryCache::EntryBytes(large_key, large);
+  ASSERT_GT(large_bytes, uint64_t{1} << 19);
+  ASSERT_LE(large_bytes, uint64_t{1} << 20);
+  cache.Put(large_key, large);
+  const uint64_t resident = cache.size_bytes();
+
+  // Promoted, it would flush protected and then be evicted itself.
+  for (int hit = 0; hit < 2; ++hit) {
+    const std::optional<QueryResult> got = cache.Get(large_key);
+    ASSERT_TRUE(got.has_value()) << hit;
+    EXPECT_TRUE(got->SameAnswer(large));
+  }
+  EXPECT_EQ(cache.counters().promotions, 10u);
+  EXPECT_EQ(cache.counters().evictions, 0u);
+  EXPECT_EQ(cache.size_bytes(), resident);
+  for (uint64_t i = 0; i < 10; ++i) {
+    EXPECT_TRUE(cache.Get(ReadKey(i)).has_value()) << i;
+  }
+}
+
+TEST(QueryCacheTest, ClearEmptiesBothSegments) {
+  QueryCache cache(kAdmissionBudget);
+  const QueryResult answer = ReadAnswer(40);
+  cache.Put(ReadKey(0), answer);
+  ASSERT_TRUE(cache.Get(ReadKey(0)).has_value());  // now protected
+  cache.Put(ReadKey(1), answer);                   // on probation
+  ASSERT_EQ(cache.entry_count(), 2u);
+
+  cache.Clear();
+  EXPECT_EQ(cache.entry_count(), 0u);
+  EXPECT_EQ(cache.size_bytes(), 0u);
+  EXPECT_FALSE(cache.Get(ReadKey(0)).has_value());
+  EXPECT_FALSE(cache.Get(ReadKey(1)).has_value());
+  // Stored again, read 0 starts over on probation: its next hit is a
+  // second promotion.
+  cache.Put(ReadKey(0), answer);
+  ASSERT_TRUE(cache.Get(ReadKey(0)).has_value());
+  EXPECT_EQ(cache.counters().promotions, 2u);
 }
 
 TEST(QueryEngineTest, MatchesSequentialExecutionAtAnyThreadCount) {

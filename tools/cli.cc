@@ -551,6 +551,9 @@ int CmdBatch(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
     json.Value(stats.executed);
     json.Key("cache_hits");
     json.Value(stats.cache_hits);
+    // The engine is this command's own, so its cache saw only this batch.
+    json.Key("cache_promotions");
+    json.Value(query_engine.cache().counters().promotions);
     json.Key("failed");
     json.Value(stats.failed);
     json.Key("retries");
