@@ -10,7 +10,8 @@
 //     committing the manifest, as a function of memtable size;
 //   - compaction pause: merging K frozen shards into one (the
 //     exclusive-writer section; readers keep serving off the pinned
-//     generation throughout);
+//     generation throughout), for K equal shards and for one large
+//     compacted base plus four small flushed shards (compact_base_ms);
 //   - query latency while a compaction runs concurrently, against the
 //     quiescent baseline — the paper's promise is that readers never
 //     block on the merge.
@@ -178,6 +179,38 @@ void Run() {
       table.AddRow({FormatCount(fanout), FormatCount(chars),
                     FormatDouble(ms, 2)});
       report.AddMetric("compact_f" + std::to_string(fanout) + "_ms", ms);
+    }
+    // The steady shape of a growing family: one compacted base of
+    // 4 x per_shard characters, then four flushed shards of per_shard / 4.
+    // Compaction by extension copies the base and appends only the rest.
+    {
+      auto family = FreshFamily(dir + "/compact_base.spinefam");
+      const size_t per_shard = std::min<size_t>(
+          corpus.size() / 5, static_cast<size_t>(131'072 * scale));
+      uint64_t chars = 0;
+      for (const std::string& doc :
+           MakeDocs(corpus.substr(0, 4 * per_shard), 32)) {
+        SPINE_CHECK(family->InsertDocument(doc).ok());
+        chars += doc.size();
+      }
+      SPINE_CHECK(family->Compact().ok());
+      for (uint32_t s = 0; s < 4; ++s) {
+        for (const std::string& doc : MakeDocs(
+                 corpus.substr(4 * per_shard + s * (per_shard / 4),
+                               per_shard / 4),
+                 2)) {
+          SPINE_CHECK(family->InsertDocument(doc).ok());
+          chars += doc.size();
+        }
+        SPINE_CHECK(family->Flush().ok());
+      }
+      SPINE_CHECK(family->frozen_shard_count() == 5);
+      WallTimer timer;
+      SPINE_CHECK(family->Compact().ok());
+      const double ms = timer.ElapsedMillis();
+      SPINE_CHECK(family->frozen_shard_count() == 1);
+      table.AddRow({"base + 4", FormatCount(chars), FormatDouble(ms, 2)});
+      report.AddMetric("compact_base_ms", ms);
     }
     table.Print();
   }

@@ -250,6 +250,47 @@ void CompactSpineIndex::EnsureOwnedTables() {
   backing_.reset();
 }
 
+CompactSpineIndex CompactSpineIndex::Clone() const {
+  CompactSpineIndex copy(*this);
+  if (!copy.side_maps_in_build_order_) copy.RestoreSideMapBuildOrder();
+  return copy;
+}
+
+void CompactSpineIndex::RestoreSideMapBuildOrder() {
+  // Append creates at most one extrib per appended node t, with
+  // destination t, so extribs were created in destination order.
+  std::vector<std::pair<uint32_t, uint32_t>> extrib_order;  // (dest, node)
+  extrib_order.reserve(extribs_.size());
+  for (const auto& [node, entry] : extribs_) {
+    extrib_order.emplace_back(entry.dest, node);
+  }
+  std::sort(extrib_order.begin(), extrib_order.end());
+  std::unordered_map<uint32_t, ExtribEntry> extribs;
+  for (const auto& [dest, node] : extrib_order) {
+    extribs.emplace(node, extribs_.at(node));
+  }
+  extribs_ = std::move(extribs);
+
+  // A node spills to the big map when its fifth rib, to the appended
+  // node t, arrives; one Append visits nodes in descending order.
+  std::vector<std::pair<uint32_t, uint32_t>> big_order;  // (t, node)
+  big_order.reserve(rt_big_.size());
+  for (const auto& [node, big] : rt_big_) {
+    big_order.emplace_back(big.ribs.size() > 4 ? big.ribs[4].dest : 0, node);
+  }
+  std::sort(big_order.begin(), big_order.end(),
+            [](const auto& a, const auto& b) {
+              return a.first != b.first ? a.first < b.first
+                                        : a.second > b.second;
+            });
+  std::unordered_map<uint32_t, BigEntry> rt_big;
+  for (const auto& [dest, node] : big_order) {
+    rt_big.emplace(node, std::move(rt_big_.at(node)));
+  }
+  rt_big_ = std::move(rt_big);
+  side_maps_in_build_order_ = true;
+}
+
 Status CompactSpineIndex::Append(char ch) {
   EnsureOwnedTables();
   Code c = alphabet_.Encode(ch);
@@ -472,7 +513,7 @@ Status CompactSpineIndex::Validate() const {
     return Status::Corruption("link table size mismatch");
   }
   // Raw-field validation of every rib slot a node can reach. Runs
-  // BEFORE any decoded accessor (RibsAt/LinkLel) so that corrupt
+  // BEFORE any decoded accessor (LinkDest/LinkLel) so that corrupt
   // overflow indexes are caught instead of dereferenced.
   auto check_raw_rib = [&](NodeId node, const PackedRib& rib) -> Status {
     if ((rib.cl & kPtOverflowFlag) && rib.pt >= overflow_.size()) {
@@ -487,11 +528,26 @@ Status CompactSpineIndex::Validate() const {
       return Status::Corruption("rib destination beyond tail at node " +
                                 std::to_string(node));
     }
+    if (rib.dest <= node) {
+      return Status::Corruption("rib not downstream at node " +
+                                std::to_string(node));
+    }
     return Status::OK();
   };
   for (uint32_t dest : root_rib_dest_) {
     if (dest != kNoNode && dest > n) {
       return Status::Corruption("root rib destination beyond tail");
+    }
+  }
+  // Append reuses free RT slots in place; one past its table would be
+  // written out of bounds.
+  for (uint32_t k = 0; k < 4; ++k) {
+    const uint64_t slots = rt_[k].size() / RtStride(k + 1);
+    for (const uint32_t slot : rt_free_[k]) {
+      if (slot >= slots) {
+        return Status::Corruption("RT free slot out of range in class " +
+                                  std::to_string(k + 1));
+      }
     }
   }
   uint64_t extrib_bits = 0;
@@ -554,12 +610,6 @@ Status CompactSpineIndex::Validate() const {
                                 std::to_string(i));
     }
     if (lt_word_[i] & kHasExtribBit) ++extrib_bits;
-    for (const RibView& rib : RibsAt(i)) {
-      if (rib.dest <= i) {
-        return Status::Corruption("rib not downstream at node " +
-                                  std::to_string(i));
-      }
-    }
   }
   if (extrib_bits != extribs_.size()) {
     return Status::Corruption("extrib bit/entry count mismatch");

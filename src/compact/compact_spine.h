@@ -60,10 +60,16 @@ class CompactSpineIndex {
 
   explicit CompactSpineIndex(const Alphabet& alphabet);
 
-  CompactSpineIndex(const CompactSpineIndex&) = delete;
-  CompactSpineIndex& operator=(const CompactSpineIndex&) = delete;
   CompactSpineIndex(CompactSpineIndex&&) = default;
   CompactSpineIndex& operator=(CompactSpineIndex&&) = default;
+
+  // A copy that keeps appending where this index stops (compaction by
+  // extension, shard/dynamic_family.h). Borrowed tables stay borrowed,
+  // with their keepalive, until the copy's first Append materializes
+  // them, so a mapping is never written. However this index was opened,
+  // the copy extended by some characters saves the same bytes as an
+  // index built from scratch over all of them.
+  CompactSpineIndex Clone() const;
 
   // --- Construction -------------------------------------------------------
 
@@ -164,6 +170,10 @@ class CompactSpineIndex {
  private:
   friend class CompactSpineSerializer;
 
+  // Only Clone() copies, so no multi-megabyte copy happens by accident.
+  CompactSpineIndex(const CompactSpineIndex&) = default;
+  CompactSpineIndex& operator=(const CompactSpineIndex&) = delete;
+
   // LT word layout.
   static constexpr uint32_t kClassShift = 29;          // 3 bits: 0..5
   static constexpr uint32_t kLelOverflowBit = 1u << 28;
@@ -226,6 +236,10 @@ class CompactSpineIndex {
   // Called at the top of Append; a heap-built index pays one branch.
   void EnsureOwnedTables();
 
+  // Re-inserts the keys of rt_big_ and extribs_ in the order Append
+  // created them (see side_maps_in_build_order_).
+  void RestoreSideMapBuildOrder();
+
   Alphabet alphabet_;
   PackedString codes_;
 
@@ -246,6 +260,12 @@ class CompactSpineIndex {
 
   // Keeps the mapped image alive while any table borrows from it.
   std::shared_ptr<const void> backing_;
+
+  // Whether rt_big_ and extribs_ received their keys in the order Append
+  // created them. Hash-map iteration order, and with it Save's byte
+  // order, depends on the insertion history; the loaders insert in file
+  // order, which differs, so Clone() restores the build order first.
+  bool side_maps_in_build_order_ = true;
 
   uint32_t max_lel_ = 0;
   uint32_t max_pt_ = 0;

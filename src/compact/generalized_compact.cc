@@ -49,6 +49,14 @@ Status GeneralizedCompactSpine::AddString(std::string_view s,
   return Status::OK();
 }
 
+GeneralizedCompactSpine GeneralizedCompactSpine::Clone() const {
+  GeneralizedCompactSpine copy(user_alphabet_);
+  copy.index_ = index_.Clone();
+  copy.boundaries_ = boundaries_;
+  copy.names_ = names_;
+  return copy;
+}
+
 uint32_t GeneralizedCompactSpine::StringLength(uint32_t id) const {
   SPINE_CHECK(id < boundaries_.size());
   uint32_t start = id == 0 ? 0 : boundaries_[id - 1];

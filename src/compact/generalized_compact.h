@@ -37,6 +37,11 @@ class GeneralizedCompactSpine {
   GeneralizedCompactSpine(GeneralizedCompactSpine&&) = default;
   GeneralizedCompactSpine& operator=(GeneralizedCompactSpine&&) = default;
 
+  // A copy that AddString extends (CompactSpineIndex::Clone): strings
+  // added to it make the same image, byte for byte, as a collection
+  // built from scratch over this one's strings and then them.
+  GeneralizedCompactSpine Clone() const;
+
   // Adds one string (with an optional display name, e.g. the FASTA
   // record id). Fails — leaving the index unchanged — on characters
   // outside the declared alphabet or on the separator itself.

@@ -177,6 +177,7 @@ class CompactSpineSerializer {
       }
       index.extribs_.emplace(node, entry);
     }
+    index.side_maps_in_build_order_ = false;  // filled in file order
     if (!aligned_vec(&index.overflow_)) {
       return Status::Corruption("truncated overflow table in " + path);
     }
@@ -257,6 +258,7 @@ class CompactSpineSerializer {
       }
       index.extribs_.emplace(node, entry);
     }
+    index.side_maps_in_build_order_ = false;  // filled in file order
     if (!aligned_view(&index.overflow_)) {
       return Status::Corruption("truncated overflow table in " + path);
     }

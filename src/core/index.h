@@ -261,9 +261,9 @@ class MutableIndex : public Index {
   // survives crash + reopen.
   virtual Status Flush() = 0;
 
-  // Flush, then merge all frozen shards into one, dropping tombstoned
-  // documents. A failed compaction leaves the prior generation fully
-  // live (on disk and in memory).
+  // Merges every frozen shard and the memtable into one durable shard,
+  // dropping tombstoned documents. A failed compaction leaves the prior
+  // generation fully live (on disk and in memory).
   virtual Status Compact() = 0;
 
   // Re-adopts the latest on-disk generation, discarding any volatile

@@ -93,6 +93,9 @@ struct DynamicFamily::FrozenShard {
   // from (borrowed tables report no capacity); 0 when built in memory
   // or mapped.
   uint64_t heap_image_bytes = 0;
+  // Whether the image's structure is known good: built in this process
+  // or validated at open. False only under an mmap-noverify open.
+  bool validated = true;
 };
 
 // One immutable snapshot of the family's queryable state. Everything
@@ -494,96 +497,104 @@ Status DynamicFamily::Reload() {
 
 Status DynamicFamily::FlushLocked() {
   std::shared_ptr<const Generation> cur = CurrentGeneration();
-  if (cur->memtable == nullptr || cur->memtable_visible == 0) {
-    return Status::OK();
+  return MergeLocked(*cur, cur->shards.size(), /*compaction=*/false);
+}
+
+Status DynamicFamily::CompactLocked() {
+  std::shared_ptr<const Generation> cur = CurrentGeneration();
+  const size_t shards = cur->shards.size();
+  const bool memtable_live =
+      cur->sources.size() > shards && !cur->sources[shards].runs.empty();
+  if (shards <= 1 && (shards == 0 || cur->sources[0].clean) &&
+      !memtable_live) {
+    return FlushLocked();  // nothing to merge
   }
-  // The writer lock stops the memtable growing mid-flush, and the
-  // newest generation sees all of it, so no document is left behind.
-  std::vector<uint32_t> doc_ids;
-  std::vector<std::string> texts;
-  std::vector<uint32_t> dropped;  // tombstones resolved by this flush
-  {
-    std::shared_lock<std::shared_mutex> lock(cur->memtable->mu);
-    for (uint32_t i = 0; i < cur->memtable_visible; ++i) {
-      const uint32_t id = cur->memtable->doc_ids[i];
-      if (std::binary_search(cur->tombstones.begin(), cur->tombstones.end(),
-                             id)) {
-        dropped.push_back(id);
-      } else {
-        doc_ids.push_back(id);
-        texts.push_back(cur->memtable->texts[i]);
-      }
+  return MergeLocked(*cur, 0, /*compaction=*/true);
+}
+
+Status DynamicFamily::MergeLocked(const Generation& cur, size_t first,
+                                  bool compaction) {
+  const size_t shard_count = cur.shards.size();
+  if (first == cur.sources.size()) return Status::OK();  // no source to merge
+  // Source s is frozen shard s, then the memtable; a clean shard holds no
+  // tombstoned document, so all of it survives the merge.
+  std::shared_ptr<const FrozenShard> base;
+  if (first < shard_count && cur.sources[first].clean) {
+    base = cur.shards[first];
+    // Appending follows the base's links, ribs and extribs; an image
+    // opened without verification must prove them in range first.
+    if (!base->validated) {
+      SPINE_RETURN_IF_ERROR(base->index.underlying().Validate());
     }
   }
+  GeneralizedCompactSpine image = base != nullptr
+                                      ? base->index.Clone()
+                                      : GeneralizedCompactSpine(alphabet_);
+  std::vector<uint32_t> doc_ids;
+  if (base != nullptr) doc_ids = base->doc_ids;
+  // Every other live document of the merged sources, in doc-id order.
+  // The writer lock stops the memtable growing meanwhile, and the newest
+  // generation sees all of it, so no document is left behind.
+  const size_t appended_from = first + (base != nullptr ? 1 : 0);
+  for (const Generation::DocRef& doc : cur.live) {
+    if (doc.source < appended_from) continue;
+    const std::string text =
+        doc.source < shard_count
+            ? cur.shards[doc.source]->index.StringText(doc.local)
+            : cur.memtable->texts[doc.local];
+    SPINE_RETURN_IF_ERROR(
+        image.AddString(text, "doc-" + std::to_string(doc.doc_id)));
+    doc_ids.push_back(doc.doc_id);
+  }
+  // Tombstones of merged documents die with them. Doc ids ascend across
+  // the sources, so the kept shards' tombstones are those below the
+  // first merged document.
+  const uint32_t first_merged_id = first < shard_count
+                                       ? cur.shards[first]->doc_ids.front()
+                                       : cur.memtable->doc_ids.front();
+
   auto next = std::make_shared<Generation>();
-  next->version = cur->version + 1;
+  next->version = cur.version + 1;
   next->cache_id = core::NextIndexCacheId();
-  next->next_doc_id = cur->next_doc_id;
-  next->shards = cur->shards;
-  // Tombstones that only masked memtable documents die with them.
-  std::set_difference(cur->tombstones.begin(), cur->tombstones.end(),
-                      dropped.begin(), dropped.end(),
-                      std::back_inserter(next->tombstones));
+  next->next_doc_id = cur.next_doc_id;
+  next->shards.assign(cur.shards.begin(), cur.shards.begin() + first);
+  next->tombstones.assign(cur.tombstones.begin(),
+                          std::lower_bound(cur.tombstones.begin(),
+                                           cur.tombstones.end(),
+                                           first_merged_id));
+  [[maybe_unused]] const uint64_t reused_chars =
+      base != nullptr ? base->index.total_characters() : 0;
+  [[maybe_unused]] const uint64_t merged_chars = image.total_characters();
   if (!doc_ids.empty()) {
     Result<std::shared_ptr<const FrozenShard>> shard =
-        WriteShard(next->version, doc_ids, texts);
+        WriteShard(next->version, std::move(image), std::move(doc_ids));
     if (!shard.ok()) return shard.status();
     next->shards.push_back(*std::move(shard));
   }
   next->BuildDerived();
   Status status = WriteManifest(*next);
   if (!status.ok()) {
-    if (!doc_ids.empty()) {
+    if (next->shards.size() > first) {
       // Roll back the fresh image; the old generation stays fully live.
       std::remove(SiblingPath(path_, next->shards.back()->filename).c_str());
     }
     return status;
   }
   Publish(next);
-  SPINE_OBS_COUNT("lifecycle.flushes", 1);
-  return Status::OK();
-}
-
-Status DynamicFamily::CompactLocked() {
-  SPINE_RETURN_IF_ERROR(FlushLocked());
-  std::shared_ptr<const Generation> cur = CurrentGeneration();
-  if (cur->shards.size() <= 1 && cur->tombstones.empty()) {
-    return Status::OK();  // already compact
+  // The merged images are unreferenced by the committed manifest; pinned
+  // readers keep them alive through open descriptors or heap copies, so
+  // unlinking now is safe.
+  for (size_t s = first; s < shard_count; ++s) {
+    std::remove(SiblingPath(path_, cur.shards[s]->filename).c_str());
   }
-  std::vector<uint32_t> doc_ids;
-  std::vector<std::string> texts;
-  doc_ids.reserve(cur->live.size());
-  texts.reserve(cur->live.size());
-  for (const Generation::DocRef& doc : cur->live) {
-    doc_ids.push_back(doc.doc_id);
-    texts.push_back(cur->shards[doc.source]->index.StringText(doc.local));
+  if (compaction) {
+    SPINE_OBS_COUNT("lifecycle.compactions", 1);
+    SPINE_OBS_COUNT("lifecycle.compact_reused_chars", reused_chars);
+    SPINE_OBS_COUNT("lifecycle.compact_appended_chars",
+                    merged_chars - reused_chars);
+  } else {
+    SPINE_OBS_COUNT("lifecycle.flushes", 1);
   }
-  auto next = std::make_shared<Generation>();
-  next->version = cur->version + 1;
-  next->cache_id = core::NextIndexCacheId();
-  next->next_doc_id = cur->next_doc_id;
-  if (!doc_ids.empty()) {
-    Result<std::shared_ptr<const FrozenShard>> shard =
-        WriteShard(next->version, doc_ids, texts);
-    if (!shard.ok()) return shard.status();
-    next->shards.push_back(*std::move(shard));
-  }
-  next->BuildDerived();
-  Status status = WriteManifest(*next);
-  if (!status.ok()) {
-    if (!next->shards.empty()) {
-      std::remove(SiblingPath(path_, next->shards.back()->filename).c_str());
-    }
-    return status;
-  }
-  Publish(next);
-  // The old images are unreferenced by the committed manifest; pinned
-  // readers keep them alive through open descriptors or heap copies,
-  // so unlinking now is safe.
-  for (const std::shared_ptr<const FrozenShard>& shard : cur->shards) {
-    std::remove(SiblingPath(path_, shard->filename).c_str());
-  }
-  SPINE_OBS_COUNT("lifecycle.compactions", 1);
   return Status::OK();
 }
 
@@ -614,14 +625,8 @@ Status DynamicFamily::RunFaultHook(std::string_view step) const {
 }
 
 Result<std::shared_ptr<const DynamicFamily::FrozenShard>>
-DynamicFamily::WriteShard(uint64_t version,
-                          const std::vector<uint32_t>& doc_ids,
-                          const std::vector<std::string>& texts) const {
-  GeneralizedCompactSpine image(alphabet_);
-  for (size_t i = 0; i < texts.size(); ++i) {
-    SPINE_RETURN_IF_ERROR(
-        image.AddString(texts[i], "doc-" + std::to_string(doc_ids[i])));
-  }
+DynamicFamily::WriteShard(uint64_t version, GeneralizedCompactSpine image,
+                          std::vector<uint32_t> doc_ids) const {
   // Image files are uniquely named per generation and never rewritten
   // in place — the crash-consistency contract's load-bearing half.
   const std::string filename =
@@ -640,7 +645,7 @@ DynamicFamily::WriteShard(uint64_t version,
   auto shard = std::make_shared<FrozenShard>(std::move(image));
   shard->filename = filename;
   shard->file = file;
-  shard->doc_ids = doc_ids;
+  shard->doc_ids = std::move(doc_ids);
   return std::shared_ptr<const FrozenShard>(std::move(shard));
 }
 
@@ -821,6 +826,7 @@ DynamicFamily::LoadGeneration(const std::string& path, const Options& options,
     shard->doc_ids = std::move(meta.doc_ids);
     shard->mapping = std::move(bytes->mapping);
     if (shard->mapping == nullptr) shard->heap_image_bytes = bytes->size;
+    shard->validated = bytes->verify;
     generation->shards.push_back(std::move(shard));
   }
   generation->BuildDerived();

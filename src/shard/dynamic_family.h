@@ -15,9 +15,13 @@
 //   flush     freezes the memtable, serializes the live documents to a
 //             compact image (<manifest>.g<version>), and swaps the
 //             generation pointer — the durability point;
-//   compact   flushes, then merges every frozen shard into one compact
-//             image, dropping tombstoned documents and their
-//             tombstones.
+//   compact   merges every frozen shard and the memtable into one
+//             compact image, dropping tombstoned documents and their
+//             tombstones, with one image write and one manifest
+//             commit. SPINE builds online, so when the first shard
+//             holds no tombstone the image is a copy of it extended by
+//             the other live documents: a compaction costs the
+//             characters outside that base, not every live one.
 //
 // Generations: the family's entire queryable state is an immutable,
 // refcounted Generation — frozen shard list + memtable snapshot
@@ -76,6 +80,10 @@
 #include "core/index.h"
 #include "core/query.h"
 #include "obs/trace.h"
+
+namespace spine {
+class GeneralizedCompactSpine;
+}  // namespace spine
 
 namespace spine::shard {
 
@@ -196,11 +204,18 @@ class DynamicFamily final : public core::MutableIndex {
   Status FlushLocked();
   Status CompactLocked();
   Status ReloadLocked();
-  // Serializes `docs` (id, text) to <path_>.g<version>, returning the
-  // loaded FrozenShard. Fault-hook steps: shard.write, shard.finish.
+  // Merges the sources of `cur` from frozen shard `first` on (the later
+  // shards, then the memtable) into one frozen shard holding their live
+  // documents in doc-id order, commits it with one manifest write and
+  // publishes it. The image extends a copy of shard `first` when that
+  // shard holds no tombstone, and starts empty otherwise. A flush
+  // merges the memtable alone, a compaction every source.
+  Status MergeLocked(const Generation& cur, size_t first, bool compaction);
+  // Saves `image` to <path_>.g<version>, returning the FrozenShard that
+  // holds it. Fault-hook steps: shard.write, shard.finish.
   Result<std::shared_ptr<const FrozenShard>> WriteShard(
-      uint64_t version, const std::vector<uint32_t>& doc_ids,
-      const std::vector<std::string>& texts) const;
+      uint64_t version, GeneralizedCompactSpine image,
+      std::vector<uint32_t> doc_ids) const;
   // Writes the manifest for `generation` to <path_>.tmp and commits it
   // by rename. Fault-hook steps: manifest.write, manifest.rename.
   Status WriteManifest(const Generation& generation) const;

@@ -6,6 +6,8 @@
 #include "compact/compact_spine.h"
 
 #include <algorithm>
+#include <array>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -485,6 +487,90 @@ TEST_F(SerializerCorruptionTest, MmapToleratesTrailingBytesLikeHeap) {
 
 // mmap-noverify still rejects images whose geometry is wrong (bounds
 // checks are never skipped), via the registry's open path.
+// Byte offsets of the flat tables in a saved compact image: each is an
+// 8-aligned u64 element count followed by the elements.
+struct ImageTables {
+  size_t lt_word = 0;
+  std::array<size_t, 4> rt = {};
+  std::array<size_t, 4> rt_free = {};
+};
+
+ImageTables FindTables(const std::string& image) {
+  ImageTables tables;
+  size_t pos = 24;  // magic, version, kind, size, pad
+  const auto skip = [&](size_t element_bytes) {
+    pos = (pos + 7) / 8 * 8;
+    const size_t at = pos;
+    uint64_t count = 0;
+    std::memcpy(&count, image.data() + pos, sizeof(count));
+    pos += 8 + count * element_bytes;
+    return at;
+  };
+  skip(8);  // CL words
+  tables.lt_word = skip(4);
+  skip(2);  // LEL
+  skip(4);  // root ribs
+  for (size_t k = 0; k < 4; ++k) tables.rt[k] = skip(1);
+  for (size_t k = 0; k < 4; ++k) tables.rt_free[k] = skip(4);
+  return tables;
+}
+
+// The checks Append relies on to stay in bounds on an image nothing else
+// verified: every rib points downstream and every free RT slot lies in
+// its table. Each fault is caught by Validate() alone (the unverified
+// memory load skips it and the checksum).
+TEST(SerializerTest, ValidateRejectsUpstreamRibsAndStrayFreeSlots) {
+  Rng rng(404);
+  CompactSpineIndex index(Alphabet::Dna());
+  ASSERT_TRUE(index.AppendString(RandomString(rng, 3000, 4)).ok());
+  std::ostringstream out;
+  ASSERT_TRUE(SaveCompactSpineToStream(index, out).ok());
+  const std::string image = out.str();
+  const ImageTables tables = FindTables(image);
+
+  const auto validate = [](const std::string& bytes) {
+    std::vector<uint64_t> buffer(bytes.size() / 8 + 1);
+    std::memcpy(buffer.data(), bytes.data(), bytes.size());
+    Result<CompactSpineIndex> loaded = LoadCompactSpineFromMemory(
+        reinterpret_cast<const uint8_t*>(buffer.data()), bytes.size(),
+        /*verify=*/false, nullptr);
+    EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+    return loaded.ok() ? loaded->Validate() : loaded.status();
+  };
+  ASSERT_TRUE(validate(image).ok());
+
+  // The first class-1 node's rib, pointed back at the node itself.
+  std::string upstream = image;
+  uint32_t node = 1;
+  uint32_t word = 0;
+  for (;; ++node) {
+    ASSERT_LE(node, index.size());
+    std::memcpy(&word, image.data() + tables.lt_word + 8 + 4 * node, 4);
+    if ((word >> 29) == 1) break;
+  }
+  const size_t rib = tables.rt[0] + 8 + (word & ((1u << 27) - 1)) * 11 + 4;
+  std::memcpy(upstream.data() + rib, &node, 4);
+  const Status upstream_status = validate(upstream);
+  EXPECT_EQ(upstream_status.code(), StatusCode::kCorruption);
+  EXPECT_NE(upstream_status.message().find("rib not downstream"),
+            std::string::npos)
+      << upstream_status.ToString();
+
+  // A free RT1 slot one past the table.
+  uint64_t free_slots = 0;
+  std::memcpy(&free_slots, image.data() + tables.rt_free[0], 8);
+  ASSERT_GT(free_slots, 0u);  // class 1 -> 2 migrations freed RT1 slots
+  uint64_t rt1_bytes = 0;
+  std::memcpy(&rt1_bytes, image.data() + tables.rt[0], 8);
+  std::string stray = image;
+  const uint32_t past = static_cast<uint32_t>(rt1_bytes / 11);
+  std::memcpy(stray.data() + tables.rt_free[0] + 8, &past, 4);
+  const Status stray_status = validate(stray);
+  EXPECT_EQ(stray_status.code(), StatusCode::kCorruption);
+  EXPECT_NE(stray_status.message().find("free slot"), std::string::npos)
+      << stray_status.ToString();
+}
+
 TEST(SerializerTest, MmapNoverifySkipsChecksumButKeepsBounds) {
   Rng rng(991);
   std::string s = RandomString(rng, 1200, 4);

@@ -9,7 +9,9 @@
 
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -21,6 +23,7 @@
 #include "common/crc32c.h"
 #include "common/rng.h"
 #include "common/serde.h"
+#include "compact/generalized_compact.h"
 #include "core/generalized_spine.h"
 #include "core/query.h"
 #include "core/registry.h"
@@ -451,6 +454,297 @@ TEST(DynamicFamilyTest, BackgroundTriggersFlushAndCompactOnTheirOwn) {
   EXPECT_TRUE((*family)->TakeBackgroundError().ok());
   EXPECT_EQ((*family)->live_documents(), 8u);
   EXPECT_TRUE((*family)->VerifyStructure().ok());
+}
+
+// --- compaction by extension ------------------------------------------------
+
+// The one image a single-shard manifest names, as bytes.
+std::string OnlyShardBytes(const std::string& path) {
+  const std::vector<ManifestEntry> entries = ReadManifestEntries(path);
+  EXPECT_EQ(entries.size(), 1u);
+  if (entries.size() != 1) return {};
+  Result<std::string> bytes =
+      ReadFileBytes(SiblingPath(path, entries[0].filename));
+  EXPECT_TRUE(bytes.ok()) << bytes.status().ToString();
+  return bytes.ok() ? *bytes : std::string();
+}
+
+// The bytes a compaction that rebuilt from text would write: `live`
+// (doc id -> text) added in doc-id order, each named doc-<id>.
+std::string RebuiltImageBytes(const std::map<uint32_t, std::string>& live,
+                              const std::string& scratch_path) {
+  GeneralizedCompactSpine image(Alphabet::Dna());
+  for (const auto& [id, text] : live) {
+    EXPECT_TRUE(image.AddString(text, "doc-" + std::to_string(id)).ok());
+  }
+  EXPECT_TRUE(image.Save(scratch_path).ok());
+  Result<std::string> bytes = ReadFileBytes(scratch_path);
+  EXPECT_TRUE(bytes.ok()) << bytes.status().ToString();
+  return bytes.ok() ? *bytes : std::string();
+}
+
+std::vector<std::string> Texts(const std::map<uint32_t, std::string>& live) {
+  std::vector<std::string> texts;
+  for (const auto& [id, text] : live) texts.push_back(text);
+  return texts;
+}
+
+// Index characters of `live`: each document and its separator.
+uint64_t LiveChars(const std::map<uint32_t, std::string>& live) {
+  uint64_t chars = 0;
+  for (const auto& [id, text] : live) chars += text.size() + 1;
+  return chars;
+}
+
+// A first shard of four documents, three more flushed shards of three
+// (the middle one holding a tombstone), and a memtable of three with one
+// dead. `dirty_first` also deletes a document of the first shard.
+struct MergeFixture {
+  std::unique_ptr<DynamicFamily> family;
+  std::map<uint32_t, std::string> live;
+  uint64_t first_shard_chars = 0;  // separators included
+};
+
+MergeFixture BuildMergeFixture(const std::string& path, bool dirty_first) {
+  MergeFixture fixture;
+  auto family = DynamicFamily::Create(path, Alphabet::Dna(), HeapOptions());
+  EXPECT_TRUE(family.ok()) << family.status().ToString();
+  if (!family.ok()) return fixture;
+  fixture.family = std::move(family).value();
+  Rng rng(31);
+  const auto insert = [&](size_t count) {
+    for (size_t i = 0; i < count; ++i) {
+      const std::string doc = RandomDna(rng, 300 + rng.Below(400));
+      auto id = fixture.family->InsertDocument(doc);
+      ASSERT_TRUE(id.ok());
+      fixture.live.emplace(*id, doc);
+    }
+  };
+  const auto remove = [&](uint32_t id) {
+    ASSERT_TRUE(fixture.family->DeleteDocument(id).ok());
+    fixture.live.erase(id);
+  };
+  insert(4);
+  fixture.first_shard_chars = LiveChars(fixture.live);
+  EXPECT_TRUE(fixture.family->Flush().ok());
+  for (int shard = 0; shard < 3; ++shard) {
+    insert(3);
+    EXPECT_TRUE(fixture.family->Flush().ok());
+  }
+  remove(8);  // the middle one of the three later shards
+  if (dirty_first) remove(1);
+  insert(3);
+  remove(fixture.family->next_doc_id() - 2);
+  EXPECT_EQ(fixture.family->frozen_shard_count(), 4u);
+  return fixture;
+}
+
+TEST(DynamicFamilyTest, CompactExtendsACleanFirstShardByteForByte) {
+  ScopedTempDir dir;
+  const std::string path = dir.File("fam.spinefam");
+  MergeFixture fixture = BuildMergeFixture(path, /*dirty_first=*/false);
+  ASSERT_NE(fixture.family, nullptr);
+  const uint64_t version = fixture.family->generation_version();
+  spine::test::RegistryDelta delta;
+  ASSERT_TRUE(fixture.family->Compact().ok());
+
+  // One image, one manifest commit, the memtable folded in.
+  EXPECT_EQ(fixture.family->generation_version(), version + 1);
+  EXPECT_EQ(fixture.family->frozen_shard_count(), 1u);
+  EXPECT_EQ(fixture.family->memtable_documents(), 0u);
+  EXPECT_EQ(fixture.family->tombstone_count(), 0u);
+  EXPECT_EQ(OnlyShardBytes(path),
+            RebuiltImageBytes(fixture.live, dir.File("rebuilt.img")));
+  ExpectAnswersMatchDocs(*fixture.family, Texts(fixture.live), "ACGTAC",
+                         "extended");
+  EXPECT_TRUE(fixture.family->VerifyStructure().ok());
+
+#if !defined(SPINE_OBS_DISABLED)
+  const uint64_t live_chars = LiveChars(fixture.live);
+  EXPECT_EQ(delta.Counter("lifecycle.compactions"), 1u);
+  EXPECT_EQ(delta.Counter("lifecycle.flushes"), 0u);
+  EXPECT_EQ(delta.Counter("lifecycle.compact_reused_chars"),
+            fixture.first_shard_chars);
+  EXPECT_EQ(delta.Counter("lifecycle.compact_appended_chars"),
+            live_chars - fixture.first_shard_chars);
+#endif
+}
+
+TEST(DynamicFamilyTest, CompactRebuildsWhenTheFirstShardIsDirty) {
+  ScopedTempDir dir;
+  const std::string path = dir.File("fam.spinefam");
+  MergeFixture fixture = BuildMergeFixture(path, /*dirty_first=*/true);
+  ASSERT_NE(fixture.family, nullptr);
+  spine::test::RegistryDelta delta;
+  ASSERT_TRUE(fixture.family->Compact().ok());
+
+  EXPECT_EQ(fixture.family->frozen_shard_count(), 1u);
+  EXPECT_EQ(fixture.family->tombstone_count(), 0u);
+  EXPECT_EQ(OnlyShardBytes(path),
+            RebuiltImageBytes(fixture.live, dir.File("rebuilt.img")));
+  ExpectAnswersMatchDocs(*fixture.family, Texts(fixture.live), "ACGTAC",
+                         "rebuilt");
+
+#if !defined(SPINE_OBS_DISABLED)
+  EXPECT_EQ(delta.Counter("lifecycle.compact_reused_chars"), 0u);
+  EXPECT_EQ(delta.Counter("lifecycle.compact_appended_chars"),
+            LiveChars(fixture.live));
+#endif
+}
+
+// Answers of every query kind for a few patterns, in order.
+std::vector<QueryResult> AnswerProbe(const core::Index& index) {
+  std::vector<QueryResult> answers;
+  for (const char* pattern : {"ACGTAC", "GGATC", "TTTT", "CAGT"}) {
+    for (const Query& query : AllKinds(pattern, 3)) {
+      answers.push_back(index.Execute(query));
+    }
+  }
+  return answers;
+}
+
+void ExpectSameAnswers(const std::vector<QueryResult>& got,
+                       const std::vector<QueryResult>& expected,
+                       const std::string& label) {
+  ASSERT_EQ(got.size(), expected.size()) << label;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_TRUE(got[i].SameAnswer(expected[i])) << label << ", probe " << i;
+  }
+}
+
+// The clone appends into its own tables: a generation pinned before the
+// compaction, whose first shard is the clone's base, answers as before.
+TEST(DynamicFamilyTest, SnapshotPinnedBeforeCompactionKeepsItsAnswers) {
+  ScopedTempDir dir;
+  MergeFixture fixture =
+      BuildMergeFixture(dir.File("fam.spinefam"), /*dirty_first=*/false);
+  ASSERT_NE(fixture.family, nullptr);
+  std::shared_ptr<const core::Index> pinned = fixture.family->PinSnapshot();
+  const std::vector<QueryResult> before = AnswerProbe(*pinned);
+  const uint64_t size = pinned->size();
+
+  ASSERT_TRUE(fixture.family->Compact().ok());
+  ExpectSameAnswers(AnswerProbe(*pinned), before, "pinned");
+  EXPECT_EQ(pinned->size(), size);
+  EXPECT_TRUE(pinned->VerifyStructure().ok());
+  // Same documents, so the compacted family answers the same too.
+  ExpectSameAnswers(AnswerProbe(*fixture.family), before, "compacted");
+}
+
+// A base opened from disk, borrowed from a heap buffer or a mapping,
+// extends into owned tables and writes the image a rebuild would.
+TEST(DynamicFamilyTest, CompactExtendsAnOpenedBaseOnEveryOpenPath) {
+  for (const core::OpenMode mode :
+       {core::OpenMode::kHeap, core::OpenMode::kMmap}) {
+    SCOPED_TRACE(mode == core::OpenMode::kHeap ? "heap" : "mmap");
+    ScopedTempDir dir;
+    const std::string path = dir.File("fam.spinefam");
+    std::map<uint32_t, std::string> live;
+    {
+      MergeFixture fixture = BuildMergeFixture(path, /*dirty_first=*/false);
+      ASSERT_NE(fixture.family, nullptr);
+      ASSERT_TRUE(fixture.family->Flush().ok());  // the memtable is volatile
+      live = fixture.live;
+    }
+    DynamicFamily::Options options;
+    options.open.mode = mode;
+    auto family = DynamicFamily::Open(path, options);
+    ASSERT_TRUE(family.ok()) << family.status().ToString();
+    Rng rng(8);
+    const std::string doc = RandomDna(rng, 500);
+    auto id = (*family)->InsertDocument(doc);
+    ASSERT_TRUE(id.ok());
+    live.emplace(*id, doc);
+
+    std::shared_ptr<const core::Index> pinned = (*family)->PinSnapshot();
+    const std::vector<QueryResult> before = AnswerProbe(*pinned);
+    ASSERT_TRUE((*family)->Compact().ok());
+    ExpectSameAnswers(AnswerProbe(*pinned), before, "pinned");
+    EXPECT_EQ(OnlyShardBytes(path),
+              RebuiltImageBytes(live, dir.File("rebuilt.img")));
+    family->reset();
+
+    auto reopened = DynamicFamily::Open(path, options);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    for (const std::string& pattern :
+         {std::string("ACGTAC"), std::string("GGATC"), doc.substr(100, 12)}) {
+      ExpectAnswersMatchDocs(**reopened, Texts(live), pattern, "reopened");
+    }
+    EXPECT_TRUE((*reopened)->VerifyStructure().ok());
+  }
+}
+
+// Offset of node `node`'s Link Table word in a saved generalized image:
+// the embedded compact image starts with its magic ("SPNE" as a
+// little-endian u32), then version, alphabet kind and size (20 bytes, an
+// 8-aligning pad), the CL word vector (u64 count + words) and the Link
+// Table word vector (u64 count + one u32 per node).
+size_t LinkWordOffset(const std::string& image, uint32_t node) {
+  const size_t inner = image.find("ENPS");
+  EXPECT_NE(inner, std::string::npos);
+  uint64_t cl_words = 0;
+  std::memcpy(&cl_words, image.data() + inner + 24, sizeof(cl_words));
+  return inner + 24 + 8 + cl_words * 8 + 8 + 4 * static_cast<size_t>(node);
+}
+
+TEST(DynamicFamilyTest, CompactRefusesACorruptUnverifiedBase) {
+  ScopedTempDir dir;
+  const std::string path = dir.File("fam.spinefam");
+  std::vector<std::string> docs;
+  Rng rng(12);
+  {
+    auto family = DynamicFamily::Create(path, Alphabet::Dna(), HeapOptions());
+    ASSERT_TRUE(family.ok());
+    for (int shard = 0; shard < 2; ++shard) {
+      for (int i = 0; i < 3; ++i) {
+        docs.push_back(RandomDna(rng, 400));
+        ASSERT_TRUE((*family)->InsertDocument(docs.back()).ok());
+      }
+      ASSERT_TRUE((*family)->Flush().ok());
+    }
+  }
+  // Point one class-0 Link Table word of the first shard downstream.
+  const std::string first =
+      SiblingPath(path, ReadManifestEntries(path)[0].filename);
+  Result<std::string> bytes = ReadFileBytes(first);
+  ASSERT_TRUE(bytes.ok());
+  std::string image = *bytes;
+  uint32_t node = 600;
+  uint32_t word = 0;
+  for (;; ++node) {
+    ASSERT_LT(node, 1200u);
+    std::memcpy(&word, image.data() + LinkWordOffset(image, node), 4);
+    if ((word >> 29) == 0) break;  // the word is the link destination
+  }
+  word = (word & ~((1u << 27) - 1)) | (node + 1);
+  std::memcpy(image.data() + LinkWordOffset(image, node), &word, 4);
+  spine::test::WriteFile(first, image);
+
+  DynamicFamily::Options noverify;
+  noverify.open.mode = core::OpenMode::kMmap;
+  noverify.open.verify = false;
+  auto family = DynamicFamily::Open(path, noverify);
+  ASSERT_TRUE(family.ok()) << family.status().ToString();
+  docs.push_back(RandomDna(rng, 400));
+  ASSERT_TRUE((*family)->InsertDocument(docs.back()).ok());
+  const uint64_t version = (*family)->generation_version();
+
+  const Status status = (*family)->Compact();
+  EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+  // The old generation keeps serving: same layout, same answers (an
+  // existence query walks vertebras and ribs, never the broken link).
+  EXPECT_EQ((*family)->generation_version(), version);
+  EXPECT_EQ((*family)->frozen_shard_count(), 2u);
+  EXPECT_EQ((*family)->memtable_documents(), 1u);
+  EXPECT_EQ((*family)->live_documents(), 7u);
+  GeneralizedSpineIndex oracle(Alphabet::Dna());
+  for (const std::string& doc : docs) ASSERT_TRUE(oracle.AddString(doc).ok());
+  for (const std::string& doc : docs) {
+    const Query query = Query::Contains(doc.substr(50, 16));
+    EXPECT_TRUE((*family)->Execute(query).SameAnswer(
+        ExecuteQuery(oracle.underlying(), query)));
+  }
+  EXPECT_TRUE(std::filesystem::exists(first));
 }
 
 }  // namespace

@@ -2,8 +2,11 @@
 
 #include "compact/generalized_compact.h"
 
-#include <string>
+#include <cstring>
 #include <fstream>
+#include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -120,6 +123,85 @@ TEST(GeneralizedCompactTest, AsciiCollection) {
             (std::vector<Hit>{{0, 0}, {1, 0}}));
   EXPECT_TRUE(index.Contains("quick"));
   EXPECT_FALSE(index.Contains("fox the"));  // crosses the boundary
+}
+
+// A clone extended by more strings saves the bytes of a collection
+// built from scratch over all of them, whether its source was built in
+// memory, loaded from a stream or borrowed from a buffer (the loaders
+// fill the side hash maps in file order, which Clone() undoes), and the
+// source is left as it was.
+TEST(GeneralizedCompactTest, ExtendedCloneSavesTheBytesOfARebuild) {
+  const auto slurp = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    return bytes.str();
+  };
+  const auto save = [&](const GeneralizedCompactSpine& index) {
+    const std::string path = ::testing::TempDir() + "/clone_probe.spineg";
+    EXPECT_TRUE(index.Save(path).ok());
+    return slurp(path);
+  };
+  Rng rng(606);
+  for (const Alphabet& alphabet : {Alphabet::Dna(), Alphabet::Protein()}) {
+    SCOPED_TRACE(alphabet.name());
+    const std::string letters = alphabet.kind() == Alphabet::Kind::kDna
+                                    ? "ACGT"
+                                    : "ACDEFGHIKLMNPQRSTVWY";
+    std::vector<std::string> docs;
+    for (int d = 0; d < 24; ++d) {
+      std::string doc;
+      for (int i = 0; i < 600; ++i) {
+        doc.push_back(letters[rng.Below(letters.size())]);
+      }
+      docs.push_back(doc);
+    }
+    const auto build = [&](size_t begin, size_t end,
+                           GeneralizedCompactSpine* index) {
+      for (size_t d = begin; d < end; ++d) {
+        ASSERT_TRUE(index->AddString(docs[d], "doc-" + std::to_string(d)).ok());
+      }
+    };
+    GeneralizedCompactSpine full(alphabet);
+    build(0, docs.size(), &full);
+    const std::string want = save(full);
+    if (alphabet.kind() == Alphabet::Kind::kProtein) {
+      EXPECT_GT(full.underlying().FanoutCounts()[4], 0u);  // big entries
+    }
+    EXPECT_GT(full.underlying().extrib_count(), 0u);
+
+    for (const size_t base_docs : {size_t{1}, size_t{9}}) {
+      GeneralizedCompactSpine base(alphabet);
+      build(0, base_docs, &base);
+      const std::string base_bytes = save(base);
+      const std::string path = ::testing::TempDir() + "/clone_base.spineg";
+      {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out << base_bytes;
+      }
+      Result<GeneralizedCompactSpine> loaded =
+          GeneralizedCompactSpine::Load(path);
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      std::shared_ptr<uint64_t[]> buffer(
+          new uint64_t[base_bytes.size() / 8 + 1]);
+      std::memcpy(buffer.get(), base_bytes.data(), base_bytes.size());
+      Result<GeneralizedCompactSpine> borrowed =
+          GeneralizedCompactSpine::LoadFromMemory(
+              reinterpret_cast<const uint8_t*>(buffer.get()),
+              base_bytes.size(), /*verify=*/true, buffer);
+      ASSERT_TRUE(borrowed.ok()) << borrowed.status().ToString();
+
+      for (const GeneralizedCompactSpine* source :
+           {&base, &*loaded, &*borrowed}) {
+        GeneralizedCompactSpine clone = source->Clone();
+        build(base_docs, docs.size(), &clone);
+        EXPECT_EQ(save(clone), want) << "base of " << base_docs;
+        EXPECT_EQ(source->string_count(), base_docs);
+        EXPECT_TRUE(source->underlying().Validate().ok());
+      }
+      EXPECT_EQ(save(base), base_bytes);
+    }
+  }
 }
 
 }  // namespace

@@ -318,9 +318,9 @@ TEST(LifecycleDifferentialTest, HundredSeedFaultSchedulesKeepOldGenerationLive) 
       }
     } else {
       EXPECT_EQ(status.code(), StatusCode::kIoError) << status.ToString();
-      // A compaction is flush-then-merge with the manifest committed
-      // per leg; if the fault hit the merge leg, the flush leg is
-      // already live. The memtable drain tells the legs apart.
+      // A compaction folds the memtable in with one manifest commit, so
+      // a failed one leaves the memtable undrained and this is a no-op;
+      // a drained memtable would mean a separate flush leg went live.
       if (op == 1 && (*family)->memtable_documents() == 0 &&
           model.memtable_documents() > 0) {
         model.Flush();
