@@ -2,7 +2,8 @@
 // a saved compact artifact into service, heap copy vs zero-copy mmap,
 // across growing artifact sizes. The numbers that matter:
 //
-//   - heap open is O(artifact): read + copy + checksum, and the copy
+//   - heap open is O(artifact): one read into a heap buffer, then the
+//     same checksum and parse as a verified mmap open, and the buffer
 //     stays resident as anonymous (unevictable) memory;
 //   - mmap open pays only the checksum pass (file-backed, evictable
 //     pages), and mmap-noverify is ~constant — a map + header parse —

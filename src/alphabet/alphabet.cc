@@ -74,6 +74,16 @@ Status Alphabet::EncodeString(std::string_view s, std::string* codes) const {
   return Status::OK();
 }
 
+Result<Alphabet> Alphabet::FromKindCode(uint32_t code) {
+  switch (static_cast<Kind>(code)) {
+    case Kind::kDna: return Dna();
+    case Kind::kProtein: return Protein();
+    case Kind::kByte: return Byte();
+    case Kind::kAscii: return Ascii();
+  }
+  return Status::Corruption("unknown alphabet kind " + std::to_string(code));
+}
+
 const char* Alphabet::name() const {
   switch (kind_) {
     case Kind::kDna:

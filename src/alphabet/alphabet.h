@@ -34,6 +34,11 @@ class Alphabet {
   // cover plain text.
   static Alphabet Ascii();
 
+  // The alphabet whose Kind has the numeric value `code`, as artifacts
+  // record it; kCorruption for an unknown code. Formats that do not
+  // support every kind reject the others themselves.
+  static Result<Alphabet> FromKindCode(uint32_t code);
+
   Kind kind() const { return kind_; }
   // Number of distinct codes.
   uint32_t size() const { return size_; }

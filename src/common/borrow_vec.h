@@ -1,20 +1,22 @@
 // BorrowVec<T>: a vector that can either own its elements or borrow
-// them from externally managed memory (an mmap'd artifact image).
+// them from externally managed memory (an artifact image).
 //
-// The zero-copy open path (storage/mmap_region.h) deserializes a
-// CompactSpineIndex by pointing its tables straight into the mapping.
-// Those tables are std::vector members on the heap path, so this class
-// gives them one type that serves both: read accessors dispatch to the
-// view or the owned vector, and every mutating accessor first
-// materializes the view into owned storage (copy-on-write at vector
-// granularity). Query paths are const member functions, so borrowed
-// serving never pays the materialize branch on reads.
+// Every open of a CompactSpineIndex (storage/mmap_region.h) points its
+// tables straight into the image, a mapping or a heap buffer, while a
+// built index owns them, so this class gives them one type that serves
+// both: read accessors dispatch to the view or the owned vector, and
+// every mutating accessor first materializes the view into owned
+// storage (copy-on-write at vector granularity). Query paths are const
+// member functions, so borrowed serving never pays the materialize
+// branch on reads.
 //
 // The borrowed memory is NOT owned or kept alive by this class — the
-// borrower (CompactSpineIndex holds a shared_ptr to its mapping) must
-// outlive every view. capacity() reports 0 while borrowed: the pages
-// belong to the page cache, not to this process's private footprint,
-// which keeps MemoryBytes() honest about resident cost.
+// borrower (CompactSpineIndex holds a shared_ptr to its image) must
+// outlive every view. capacity() reports 0 while borrowed: the image's
+// owner accounts for it (a mapping's pages belong to the page cache; a
+// heap buffer is counted by whoever opened it, as
+// storage::ImageBytes::heap_bytes), which keeps MemoryBytes() honest
+// about resident cost.
 
 #ifndef SPINE_COMMON_BORROW_VEC_H_
 #define SPINE_COMMON_BORROW_VEC_H_
@@ -36,14 +38,6 @@ class BorrowVec {
     owned_.clear();
     view_ = data;
     view_size_ = count;
-  }
-
-  // Takes ownership of an already-populated vector (the heap
-  // deserialize path).
-  void Adopt(std::vector<T> v) {
-    view_ = nullptr;
-    view_size_ = 0;
-    owned_ = std::move(v);
   }
 
   bool borrowed() const { return view_ != nullptr; }

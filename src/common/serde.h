@@ -10,13 +10,13 @@
 //     actually remaining in the stream, so a corrupted length field
 //     fails cleanly instead of attempting a multi-GiB allocation.
 //
-// Zero-copy additions (PR 8): Writer::Align8 pads the stream with
-// CRC-covered zero bytes so array payloads land 8-aligned in the file,
-// and MapReader walks a memory image (an mmap'd artifact) handing out
-// borrowed pointers into it instead of copying. Heap Reader and
-// MapReader enforce the same bounds/pad checks in the same order, so
-// both open paths accept or reject any given image identically — the
-// property the fuzz harness' differential mmap phase locks in.
+// Zero-copy images: Writer::Align8 pads the stream with CRC-covered
+// zero bytes so array payloads land 8-aligned in the file, and
+// MapReader walks an image resident in memory (a mapping or a heap
+// buffer) handing out borrowed pointers into it instead of copying.
+// The compact image formats are parsed only through MapReader, so
+// every open path reaches the same verdict on any image; Reader serves
+// the small stream-read files (manifests, metadata sidecars).
 //
 // CrcStreambuf wraps a file's stream buffer and yields the size and
 // whole-file CRC32C a shard manifest records, taken from the bytes as
@@ -197,14 +197,6 @@ class Reader {
   // Writer::Bytes).
   [[nodiscard]] bool Bytes(void* out, size_t n) { return Raw(out, n); }
 
-  // Consumes the zero pad written by Writer::Align8; false when the
-  // pad bytes are missing or nonzero (nonzero pad means the image was
-  // tampered with — both open paths must agree on rejecting it).
-  [[nodiscard]] bool Align8() { return SkipPad((8 - consumed_ % 8) % 8); }
-  [[nodiscard]] bool AlignForFooter8() {
-    return SkipPad((8 - (consumed_ + 4) % 8) % 8);
-  }
-
   uint64_t consumed() const { return consumed_; }
 
   // CRC32C of everything consumed so far.
@@ -234,16 +226,6 @@ class Reader {
     return true;
   }
 
-  [[nodiscard]] bool SkipPad(uint64_t pad) {
-    uint8_t buf[8] = {0};
-    if (pad == 0) return true;
-    if (!Raw(buf, static_cast<size_t>(pad))) return false;
-    for (uint64_t i = 0; i < pad; ++i) {
-      if (buf[i] != 0) return false;
-    }
-    return true;
-  }
-
   std::istream& in_;
   uint32_t crc_state_ = kCrc32cInit;
   uint64_t remaining_ = 0;
@@ -252,10 +234,9 @@ class Reader {
 };
 
 // Walks a serialized image already resident in memory (an mmap'd
-// artifact) and hands out borrowed pointers into it instead of
-// copying. Mirrors Reader exactly — same framing, same bounds checks,
-// same pad verification, same CRC coverage — so the heap and mmap open
-// paths reach identical verdicts on any byte sequence. Constructed
+// artifact or a heap buffer read from one) and hands out borrowed
+// pointers into it instead of copying. Same framing and CRC coverage
+// as Writer, with every count bounded by the bytes left. Constructed
 // with verify_crc=false it skips the CRC fold entirely (the
 // "mmap-noverify" open mode: structural bounds checks only, O(1-ish)
 // open cost), in which case VerifyCrcFooter only checks the footer's
@@ -275,7 +256,7 @@ class MapReader {
   }
 
   // Count-prefixed array, borrowed: *out points into the image (valid
-  // for the mapping's lifetime), naturally aligned because the writer
+  // for the image's lifetime), naturally aligned because the writer
   // Align8'd before it. Misalignment is treated as corruption.
   template <typename T>
   [[nodiscard]] bool View(const T** out, uint64_t* count) {

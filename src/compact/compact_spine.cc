@@ -251,44 +251,7 @@ void CompactSpineIndex::EnsureOwnedTables() {
 }
 
 CompactSpineIndex CompactSpineIndex::Clone() const {
-  CompactSpineIndex copy(*this);
-  if (!copy.side_maps_in_build_order_) copy.RestoreSideMapBuildOrder();
-  return copy;
-}
-
-void CompactSpineIndex::RestoreSideMapBuildOrder() {
-  // Append creates at most one extrib per appended node t, with
-  // destination t, so extribs were created in destination order.
-  std::vector<std::pair<uint32_t, uint32_t>> extrib_order;  // (dest, node)
-  extrib_order.reserve(extribs_.size());
-  for (const auto& [node, entry] : extribs_) {
-    extrib_order.emplace_back(entry.dest, node);
-  }
-  std::sort(extrib_order.begin(), extrib_order.end());
-  std::unordered_map<uint32_t, ExtribEntry> extribs;
-  for (const auto& [dest, node] : extrib_order) {
-    extribs.emplace(node, extribs_.at(node));
-  }
-  extribs_ = std::move(extribs);
-
-  // A node spills to the big map when its fifth rib, to the appended
-  // node t, arrives; one Append visits nodes in descending order.
-  std::vector<std::pair<uint32_t, uint32_t>> big_order;  // (t, node)
-  big_order.reserve(rt_big_.size());
-  for (const auto& [node, big] : rt_big_) {
-    big_order.emplace_back(big.ribs.size() > 4 ? big.ribs[4].dest : 0, node);
-  }
-  std::sort(big_order.begin(), big_order.end(),
-            [](const auto& a, const auto& b) {
-              return a.first != b.first ? a.first < b.first
-                                        : a.second > b.second;
-            });
-  std::unordered_map<uint32_t, BigEntry> rt_big;
-  for (const auto& [dest, node] : big_order) {
-    rt_big.emplace(node, std::move(rt_big_.at(node)));
-  }
-  rt_big_ = std::move(rt_big);
-  side_maps_in_build_order_ = true;
+  return CompactSpineIndex(*this);
 }
 
 Status CompactSpineIndex::Append(char ch) {

@@ -66,9 +66,10 @@ class CompactSpineIndex {
   // A copy that keeps appending where this index stops (compaction by
   // extension, shard/dynamic_family.h). Borrowed tables stay borrowed,
   // with their keepalive, until the copy's first Append materializes
-  // them, so a mapping is never written. However this index was opened,
-  // the copy extended by some characters saves the same bytes as an
-  // index built from scratch over all of them.
+  // them, so a mapping is never written. Save writes canonical bytes,
+  // so however this index was opened, the copy extended by some
+  // characters saves the same bytes as an index built from scratch over
+  // all of them.
   CompactSpineIndex Clone() const;
 
   // --- Construction -------------------------------------------------------
@@ -236,16 +237,13 @@ class CompactSpineIndex {
   // Called at the top of Append; a heap-built index pays one branch.
   void EnsureOwnedTables();
 
-  // Re-inserts the keys of rt_big_ and extribs_ in the order Append
-  // created them (see side_maps_in_build_order_).
-  void RestoreSideMapBuildOrder();
-
   Alphabet alphabet_;
   PackedString codes_;
 
-  // Flat tables are BorrowVecs: the heap open path owns them, the mmap
-  // open path points them into the artifact mapping (kept alive by
-  // backing_). The hash maps below are always rebuilt at open.
+  // Flat tables are BorrowVecs: a built index owns them, an opened one
+  // points them into the image it was loaded from, a mapping or a heap
+  // buffer (kept alive by backing_). The hash maps below are always
+  // rebuilt at open.
   BorrowVec<uint32_t> lt_word_;  // entry 0 (root) unused
   BorrowVec<uint16_t> lt_lel_;
 
@@ -258,14 +256,9 @@ class CompactSpineIndex {
   std::unordered_map<uint32_t, ExtribEntry> extribs_;
   BorrowVec<uint32_t> overflow_;  // label overflow values
 
-  // Keeps the mapped image alive while any table borrows from it.
+  // Keeps the image (a mapping or a heap buffer) alive while any table
+  // borrows from it.
   std::shared_ptr<const void> backing_;
-
-  // Whether rt_big_ and extribs_ received their keys in the order Append
-  // created them. Hash-map iteration order, and with it Save's byte
-  // order, depends on the insertion history; the loaders insert in file
-  // order, which differs, so Clone() restores the build order first.
-  bool side_maps_in_build_order_ = true;
 
   uint32_t max_lel_ = 0;
   uint32_t max_pt_ = 0;

@@ -8,6 +8,7 @@
 #include "common/serde.h"
 #include "compact/serializer.h"
 #include "core/matcher.h"
+#include "storage/mmap_region.h"
 
 namespace spine {
 
@@ -179,102 +180,64 @@ Status GeneralizedCompactSpine::Save(const std::string& path,
   return Status::OK();
 }
 
-namespace {
-
-// The parsed outer header. Shared between the stream and memory open
-// paths (serde::Reader and serde::MapReader expose the same reading
-// interface), so both reach identical verdicts on any byte sequence.
-struct OuterHeader {
-  uint32_t kind = 0;
-  std::vector<uint32_t> boundaries;
-  std::vector<std::string> names;
-};
-
-template <typename R>
-Status ParseOuterHeader(R& r, const std::string& path, OuterHeader* out) {
-  uint32_t magic = 0, version = 0;
-  if (!r.Pod(&magic) || magic != kGenMagic) {
-    return Status::Corruption("bad generalized-index magic in " + path);
-  }
-  if (!r.Pod(&version) || version != kGenVersion) {
-    return Status::Corruption("unsupported generalized-index version");
-  }
-  if (!r.Pod(&out->kind) || out->kind > 3 ||
-      out->kind == static_cast<uint32_t>(Alphabet::Kind::kByte)) {
-    return Status::Corruption("bad alphabet kind in " + path);
-  }
-  if (!r.Vec(&out->boundaries)) {
-    return Status::Corruption("truncated boundaries in " + path);
-  }
-  uint64_t name_count = 0;
-  if (!r.Pod(&name_count) || name_count != out->boundaries.size()) {
-    return Status::Corruption("name/boundary count mismatch in " + path);
-  }
-  for (uint64_t i = 0; i < name_count; ++i) {
-    uint32_t length = 0;
-    if (!r.Pod(&length) || length > 4096) {
-      return Status::Corruption("bad name length in " + path);
-    }
-    std::string name(length, '\0');
-    if (length > 0 && !r.Bytes(name.data(), length)) {
-      return Status::Corruption("truncated name in " + path);
-    }
-    out->names.push_back(std::move(name));
-  }
-  if (!r.AlignForFooter8()) {
-    return Status::Corruption("bad header padding in " + path);
-  }
-  if (!r.VerifyCrcFooter()) {
-    return Status::Corruption("header checksum mismatch in " + path);
-  }
-  return Status::OK();
-}
-
-Alphabet AlphabetForKind(uint32_t kind) {
-  if (kind == static_cast<uint32_t>(Alphabet::Kind::kProtein)) {
-    return Alphabet::Protein();
-  }
-  if (kind == static_cast<uint32_t>(Alphabet::Kind::kAscii)) {
-    return Alphabet::Ascii();
-  }
-  return Alphabet::Dna();
-}
-
-}  // namespace
-
 Result<GeneralizedCompactSpine> GeneralizedCompactSpine::Load(
     const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open " + path);
-  serde::Reader r(in);
-  OuterHeader header;
-  SPINE_RETURN_IF_ERROR(ParseOuterHeader(r, path, &header));
-  GeneralizedCompactSpine generalized(AlphabetForKind(header.kind));
-  generalized.boundaries_ = std::move(header.boundaries);
-  generalized.names_ = std::move(header.names);
-  Result<CompactSpineIndex> inner = LoadCompactSpineFromStream(in);
-  if (!inner.ok()) return inner.status();
-  if (inner->alphabet().kind() != Alphabet::Kind::kAscii) {
-    return Status::Corruption("inner index alphabet mismatch in " + path);
+  Result<storage::ImageBytes> image =
+      storage::MapOrReadImage(path, /*map=*/false);
+  if (!image.ok()) return image.status();
+  Result<GeneralizedCompactSpine> loaded =
+      LoadFromMemory(image->data, image->size, /*verify=*/true,
+                     std::move(image->keepalive));
+  if (!loaded.ok()) {
+    return Status(loaded.status().code(),
+                  path + ": " + loaded.status().message());
   }
-  if (!generalized.boundaries_.empty() &&
-      generalized.boundaries_.back() != inner->size()) {
-    return Status::Corruption("boundaries inconsistent with index size");
-  }
-  generalized.index_ = std::move(inner).value();
-  return generalized;
+  return loaded;
 }
 
 Result<GeneralizedCompactSpine> GeneralizedCompactSpine::LoadFromMemory(
     const uint8_t* data, uint64_t size, bool verify,
     std::shared_ptr<const void> keepalive) {
-  const std::string path = "<memory>";
   serde::MapReader r(data, size, /*verify_crc=*/verify);
-  OuterHeader header;
-  SPINE_RETURN_IF_ERROR(ParseOuterHeader(r, path, &header));
-  GeneralizedCompactSpine generalized(AlphabetForKind(header.kind));
-  generalized.boundaries_ = std::move(header.boundaries);
-  generalized.names_ = std::move(header.names);
+  uint32_t magic = 0, version = 0, kind = 0;
+  if (!r.Pod(&magic) || magic != kGenMagic) {
+    return Status::Corruption("bad generalized-index magic");
+  }
+  if (!r.Pod(&version) || version != kGenVersion) {
+    return Status::Corruption("unsupported generalized-index version");
+  }
+  if (!r.Pod(&kind)) return Status::Corruption("bad alphabet kind");
+  Result<Alphabet> alphabet = Alphabet::FromKindCode(kind);
+  if (!alphabet.ok()) return alphabet.status();
+  if (alphabet->kind() == Alphabet::Kind::kByte) {
+    return Status::Corruption("bad alphabet kind");
+  }
+  // The outer header (boundaries and names) is parsed and copied.
+  GeneralizedCompactSpine generalized(*alphabet);
+  if (!r.Vec(&generalized.boundaries_)) {
+    return Status::Corruption("truncated boundaries");
+  }
+  uint64_t name_count = 0;
+  if (!r.Pod(&name_count) || name_count != generalized.boundaries_.size()) {
+    return Status::Corruption("name/boundary count mismatch");
+  }
+  for (uint64_t i = 0; i < name_count; ++i) {
+    uint32_t length = 0;
+    if (!r.Pod(&length) || length > 4096) {
+      return Status::Corruption("bad name length");
+    }
+    std::string name(length, '\0');
+    if (length > 0 && !r.Bytes(name.data(), length)) {
+      return Status::Corruption("truncated name");
+    }
+    generalized.names_.push_back(std::move(name));
+  }
+  if (!r.AlignForFooter8()) {
+    return Status::Corruption("bad header padding");
+  }
+  if (!r.VerifyCrcFooter()) {
+    return Status::Corruption("header checksum mismatch");
+  }
   // The inner image starts here, at an 8-aligned offset by
   // construction; borrow it in place.
   uint64_t inner_start = r.offset();
@@ -282,7 +245,7 @@ Result<GeneralizedCompactSpine> GeneralizedCompactSpine::LoadFromMemory(
       data + inner_start, size - inner_start, verify, std::move(keepalive));
   if (!inner.ok()) return inner.status();
   if (inner->alphabet().kind() != Alphabet::Kind::kAscii) {
-    return Status::Corruption("inner index alphabet mismatch in " + path);
+    return Status::Corruption("inner index alphabet mismatch");
   }
   if (!generalized.boundaries_.empty() &&
       generalized.boundaries_.back() != inner->size()) {

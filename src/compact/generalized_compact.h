@@ -92,17 +92,20 @@ class GeneralizedCompactSpine {
   // --- Persistence ---------------------------------------------------------
 
   // `written`, when non-null, receives the size and CRC32C of the
-  // bytes handed to the file.
+  // bytes handed to the file. The bytes are canonical, as for
+  // SaveCompactSpine: Save after any open writes the opened bytes.
   Status Save(const std::string& path,
               FileChecksum* written = nullptr) const;
+  // Reads the file at `path` into an 8-aligned heap buffer and loads it
+  // with LoadFromMemory (verify=true), as LoadCompactSpine does.
   static Result<GeneralizedCompactSpine> Load(const std::string& path);
 
-  // Zero-copy variant over an image already in memory (an mmap'd
-  // .spinegen file): the outer header is parsed and copied (it is
-  // tiny), the embedded compact image is borrowed in place via
-  // LoadCompactSpineFromMemory. Same verify semantics and verdicts as
-  // Load. `data` must be 8-aligned; `keepalive` is retained by the
-  // inner index while it borrows from the buffer.
+  // Loads an image already in memory (an mmap'd file or a heap
+  // buffer): the outer header is parsed and copied (it is tiny), the
+  // embedded compact image is borrowed in place via
+  // LoadCompactSpineFromMemory, with the same verify semantics.
+  // `data` must be 8-aligned; `keepalive` is retained by the inner
+  // index while it borrows from the buffer.
   static Result<GeneralizedCompactSpine> LoadFromMemory(
       const uint8_t* data, uint64_t size, bool verify,
       std::shared_ptr<const void> keepalive);

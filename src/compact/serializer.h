@@ -3,12 +3,17 @@
 // SPINE is self-contained: the vertebra labels encode the original
 // string, so loading the image is all a reader needs (the paper's
 // "the data string is not required any more" property).
+//
+// The bytes are canonical: an image is a function of the index alone,
+// so Save after any open writes back exactly the bytes that were
+// opened. Every open parses the image in memory through one loader
+// (LoadCompactSpineFromMemory), whether the bytes are a mapping or a
+// heap buffer read from the file.
 
 #ifndef SPINE_COMPACT_SERIALIZER_H_
 #define SPINE_COMPACT_SERIALIZER_H_
 
 #include <cstdint>
-#include <istream>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -26,34 +31,34 @@ Status SaveCompactSpine(const CompactSpineIndex& index,
                         const std::string& path,
                         FileChecksum* written = nullptr);
 
-// Loads an index previously written by SaveCompactSpine. Fails with
-// kCorruption on bad magic/version/truncated data.
+// Reads the image at `path` into an 8-aligned heap buffer and loads it
+// with LoadCompactSpineFromMemory (verify=true); the index borrows its
+// flat tables from that buffer and keeps it alive. MemoryBytes() leaves
+// the buffer (the file's size) out; a registry heap open adds it. Fails
+// with kCorruption on bad magic/version/truncated data.
 Result<CompactSpineIndex> LoadCompactSpine(const std::string& path);
 
-// Stream variants (used to embed an index image inside a larger file,
-// e.g. the generalized multi-string index). An embedded image must
-// start at an 8-aligned stream offset so the zero-copy loader below
-// can point into it (v4 images align their arrays relative to the
-// image start).
+// Stream variant of the writer, used to embed an index image inside a
+// larger file (the generalized multi-string index). An embedded image
+// must start at an 8-aligned offset so the memory loader below can
+// point into it (v4 images align their arrays relative to the image
+// start).
 Status SaveCompactSpineToStream(const CompactSpineIndex& index,
                                 std::ostream& out);
-Result<CompactSpineIndex> LoadCompactSpineFromStream(std::istream& in);
 
-// Zero-copy variant: deserializes an image already resident in memory
-// (an mmap'd artifact), pointing the index's flat tables INTO
+// Deserializes an image already resident in memory (an mmap'd
+// artifact or a heap buffer), pointing the index's flat tables INTO
 // [data, data + size) instead of copying. `data` must be 8-aligned.
 // `keepalive` is retained by the returned index for as long as any
-// table borrows from the buffer (pass the MmapRegion; pass nullptr
-// only when the caller guarantees the buffer outlives the index).
-// With verify=true the whole-image CRC and structural Validate() run
-// exactly as in the heap path, so both opens reach identical verdicts
-// on any image; verify=false skips both for O(tables) open cost and
-// keeps only the bounds/geometry checks. `consumed`, when non-null,
-// receives the image's byte length (header through CRC footer) —
-// trailing bytes in the buffer are tolerated, as on the stream path.
+// table borrows from the buffer (pass the MmapRegion or the buffer;
+// pass nullptr only when the caller guarantees the buffer outlives the
+// index). With verify=true the whole-image CRC and structural
+// Validate() run; verify=false skips both for O(tables) open cost and
+// keeps only the bounds/geometry checks. Trailing bytes after the CRC
+// footer are tolerated. The side-map records may come in any order.
 Result<CompactSpineIndex> LoadCompactSpineFromMemory(
     const uint8_t* data, uint64_t size, bool verify,
-    std::shared_ptr<const void> keepalive, uint64_t* consumed = nullptr);
+    std::shared_ptr<const void> keepalive);
 
 }  // namespace spine
 

@@ -84,16 +84,16 @@ class CompactSpineAdapter final : public Index {
  public:
   explicit CompactSpineAdapter(const CompactSpineIndex& index)
       : index_(&index) {}
-  explicit CompactSpineAdapter(CompactSpineIndex&& index)
-      : owned_(std::move(index)), index_(&*owned_) {}
-  // Zero-copy open: the index borrows its tables from `mapping`; every
-  // query admission checks the length fence first so a shrunk artifact
-  // surfaces as a clean kIoError, never SIGBUS.
+  // An opened artifact: the index borrows its tables from `image`. On
+  // a mapping, every query admission checks the length fence first so a
+  // shrunk artifact surfaces as a clean kIoError, never SIGBUS; a heap
+  // buffer counts in MemoryBytes().
   CompactSpineAdapter(CompactSpineIndex&& index,
-                      std::shared_ptr<const storage::MmapRegion> mapping)
+                      const storage::ImageBytes& image)
       : owned_(std::move(index)),
         index_(&*owned_),
-        mapping_(std::move(mapping)) {}
+        mapping_(image.mapping),
+        heap_image_bytes_(image.heap_bytes()) {}
 
   IndexKind kind() const override { return IndexKind::kCompactSpine; }
   Capabilities capabilities() const override {
@@ -119,7 +119,9 @@ class CompactSpineAdapter final : public Index {
     }
     return index_->Validate();
   }
-  uint64_t MemoryBytes() const override { return index_->MemoryBytes(); }
+  uint64_t MemoryBytes() const override {
+    return index_->MemoryBytes() + heap_image_bytes_;
+  }
 
   const CompactSpineIndex& backend() const { return *index_; }
 
@@ -127,6 +129,7 @@ class CompactSpineAdapter final : public Index {
   std::optional<CompactSpineIndex> owned_;
   const CompactSpineIndex* index_;
   std::shared_ptr<const storage::MmapRegion> mapping_;
+  uint64_t heap_image_bytes_ = 0;
 };
 
 // Queries run against the concatenated underlying index, so hit
@@ -172,14 +175,13 @@ class GeneralizedCompactAdapter final : public Index {
  public:
   explicit GeneralizedCompactAdapter(const GeneralizedCompactSpine& index)
       : index_(&index) {}
-  explicit GeneralizedCompactAdapter(GeneralizedCompactSpine&& index)
-      : owned_(std::move(index)), index_(&*owned_) {}
-  // Zero-copy open (see CompactSpineAdapter).
+  // An opened artifact (see CompactSpineAdapter).
   GeneralizedCompactAdapter(GeneralizedCompactSpine&& index,
-                            std::shared_ptr<const storage::MmapRegion> mapping)
+                            const storage::ImageBytes& image)
       : owned_(std::move(index)),
         index_(&*owned_),
-        mapping_(std::move(mapping)) {}
+        mapping_(image.mapping),
+        heap_image_bytes_(image.heap_bytes()) {}
 
   IndexKind kind() const override { return IndexKind::kGeneralizedCompact; }
   Capabilities capabilities() const override {
@@ -210,7 +212,7 @@ class GeneralizedCompactAdapter final : public Index {
     return index_->underlying().Validate();
   }
   uint64_t MemoryBytes() const override {
-    return index_->underlying().MemoryBytes();
+    return index_->underlying().MemoryBytes() + heap_image_bytes_;
   }
 
   const GeneralizedCompactSpine& backend() const { return *index_; }
@@ -219,6 +221,7 @@ class GeneralizedCompactAdapter final : public Index {
   std::optional<GeneralizedCompactSpine> owned_;
   const GeneralizedCompactSpine* index_;
   std::shared_ptr<const storage::MmapRegion> mapping_;
+  uint64_t heap_image_bytes_ = 0;
 };
 
 class DiskSpineAdapter final : public Index {

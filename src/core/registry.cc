@@ -20,51 +20,41 @@ constexpr uint32_t kGeneralizedMagic = 0x53504e47; // "SPNG"
 constexpr uint32_t kDiskSpineMeta = 0x5350444d;    // "SPDM"
 constexpr uint32_t kDiskTreeMeta = 0x53544d44;     // "STMD"
 
-// N in-process opens of one artifact share a single mapping (the
-// storage::MmapRegion::MapShared weak cache), with populate/hugepage
-// toggles carried through from the open spec.
-storage::MmapOptions MmapOptionsFrom(const OpenOptions& options) {
+// Opens a compact or generalized image: mapped under OpenMode::kMmap
+// (N in-process opens share one mapping, storage::MmapRegion::MapShared,
+// with populate/hugepage carried through), else read into a heap buffer
+// and always verified. `load` parses the bytes in place; `Adapter`
+// keeps the mapping's fence or counts the heap buffer.
+template <typename Adapter, typename Load>
+Result<std::unique_ptr<Index>> OpenImage(const std::string& path,
+                                         const OpenOptions& options,
+                                         Load load) {
   storage::MmapOptions mmap_options;
   mmap_options.populate = options.populate;
   mmap_options.hugepage = options.hugepage;
-  return mmap_options;
+  const bool map = options.mode == OpenMode::kMmap;
+  Result<storage::ImageBytes> image =
+      storage::MapOrReadImage(path, map, mmap_options);
+  if (!image.ok()) return image.status();
+  auto index = load(image->data, image->size, !map || options.verify,
+                    image->keepalive);
+  if (!index.ok()) {
+    return Status(index.status().code(),
+                  path + ": " + index.status().message());
+  }
+  return std::unique_ptr<Index>(new Adapter(std::move(*index), *image));
 }
 
 Result<std::unique_ptr<Index>> OpenCompact(const std::string& path,
                                            const OpenOptions& options) {
-  if (options.mode == OpenMode::kMmap) {
-    Result<std::shared_ptr<storage::MmapRegion>> region =
-        storage::MmapRegion::MapShared(path, MmapOptionsFrom(options));
-    if (!region.ok()) return region.status();
-    Result<CompactSpineIndex> index = LoadCompactSpineFromMemory(
-        (*region)->data(), (*region)->size(), options.verify, *region);
-    if (!index.ok()) return index.status();
-    return std::unique_ptr<Index>(
-        new CompactSpineAdapter(std::move(*index), std::move(*region)));
-  }
-  Result<CompactSpineIndex> index = LoadCompactSpine(path);
-  if (!index.ok()) return index.status();
-  return std::unique_ptr<Index>(
-      new CompactSpineAdapter(std::move(*index)));
+  return OpenImage<CompactSpineAdapter>(path, options,
+                                        &LoadCompactSpineFromMemory);
 }
 
 Result<std::unique_ptr<Index>> OpenGeneralizedCompact(
     const std::string& path, const OpenOptions& options) {
-  if (options.mode == OpenMode::kMmap) {
-    Result<std::shared_ptr<storage::MmapRegion>> region =
-        storage::MmapRegion::MapShared(path, MmapOptionsFrom(options));
-    if (!region.ok()) return region.status();
-    Result<GeneralizedCompactSpine> index =
-        GeneralizedCompactSpine::LoadFromMemory(
-            (*region)->data(), (*region)->size(), options.verify, *region);
-    if (!index.ok()) return index.status();
-    return std::unique_ptr<Index>(
-        new GeneralizedCompactAdapter(std::move(*index), std::move(*region)));
-  }
-  Result<GeneralizedCompactSpine> index = GeneralizedCompactSpine::Load(path);
-  if (!index.ok()) return index.status();
-  return std::unique_ptr<Index>(
-      new GeneralizedCompactAdapter(std::move(*index)));
+  return OpenImage<GeneralizedCompactAdapter>(
+      path, options, &GeneralizedCompactSpine::LoadFromMemory);
 }
 
 Result<std::unique_ptr<Index>> OpenDiskSpine(const std::string& path,

@@ -726,7 +726,7 @@ DynamicFamily::LoadGeneration(const std::string& path, const Options& options,
     return corrupt("unsupported family manifest version");
   }
   if (!r.Pod(&alphabet_code)) return corrupt("truncated alphabet kind");
-  Result<Alphabet> alphabet = AlphabetFromKindCode(alphabet_code);
+  Result<Alphabet> alphabet = Alphabet::FromKindCode(alphabet_code);
   if (!alphabet.ok()) return corrupt("bad alphabet kind");
   if (alphabet->kind() == Alphabet::Kind::kByte) {
     return corrupt("byte alphabet is not valid for a dynamic family");
@@ -824,8 +824,8 @@ DynamicFamily::LoadGeneration(const std::string& path, const Options& options,
     shard->filename = std::move(meta.filename);
     shard->file = meta.file;
     shard->doc_ids = std::move(meta.doc_ids);
+    shard->heap_image_bytes = bytes->heap_bytes();
     shard->mapping = std::move(bytes->mapping);
-    if (shard->mapping == nullptr) shard->heap_image_bytes = bytes->size;
     shard->validated = bytes->verify;
     generation->shards.push_back(std::move(shard));
   }

@@ -267,7 +267,7 @@ Result<std::unique_ptr<ShardedIndex>> ShardedIndex::Load(
       !reader.Pod(&shards) || !reader.Pod(&max_pattern)) {
     return corrupt("truncated manifest");
   }
-  Result<Alphabet> alphabet = AlphabetFromKindCode(alphabet_code);
+  Result<Alphabet> alphabet = Alphabet::FromKindCode(alphabet_code);
   if (!alphabet.ok()) return corrupt(std::string(alphabet.status().message()));
   if (shards == 0 || shards > kMaxShards) {
     return corrupt("implausible shard count " + std::to_string(shards));
@@ -330,10 +330,9 @@ Result<std::unique_ptr<ShardedIndex>> ShardedIndex::Load(
                                 ": shard image disagrees with the manifest");
     }
     family->shards_.push_back(std::move(*index));
+    family->heap_image_bytes_ += image->heap_bytes();
     if (image->mapping != nullptr) {
       family->mappings_.push_back(std::move(image->mapping));
-    } else {
-      family->heap_image_bytes_ += image->size;
     }
   }
   family->BuildSources();

@@ -645,29 +645,18 @@ Result<std::unique_ptr<DiskSpine>> DiskSpine::Open(const std::string& path,
   if (!r.Pod(&version) || version != kMetaVersion) {
     return Status::Corruption("unsupported metadata version");
   }
-  if (!r.Pod(&kind) || kind > 3) {
-    return Status::Corruption("bad alphabet kind");
-  }
-  Alphabet alphabet = Alphabet::Dna();
-  switch (static_cast<Alphabet::Kind>(kind)) {
-    case Alphabet::Kind::kDna:
-      break;
-    case Alphabet::Kind::kProtein:
-      alphabet = Alphabet::Protein();
-      break;
-    case Alphabet::Kind::kByte:
-      return Status::Corruption(
-          "disk indexes do not support the byte alphabet");
-    case Alphabet::Kind::kAscii:
-      alphabet = Alphabet::Ascii();
-      break;
+  if (!r.Pod(&kind)) return Status::Corruption("bad alphabet kind");
+  Result<Alphabet> alphabet = Alphabet::FromKindCode(kind);
+  if (!alphabet.ok()) return alphabet.status();
+  if (alphabet->kind() == Alphabet::Kind::kByte) {
+    return Status::Corruption("disk indexes do not support the byte alphabet");
   }
 
   Result<PageFile> file =
       PageFile::Open(path, options.sync_mode, options.backend);
   if (!file.ok()) return file.status();
   std::unique_ptr<DiskSpine> index(
-      new DiskSpine(alphabet, std::move(file).value(), options));
+      new DiskSpine(*alphabet, std::move(file).value(), options));
   index->meta_path_ = path + ".meta";
 
   auto corrupt = [&](const char* what) {
@@ -693,7 +682,7 @@ Result<std::unique_ptr<DiskSpine>> DiskSpine::Open(const std::string& path,
   if (!r.Pod(&size) || !r.Vec(&table)) return corrupt("extrib records");
   SPINE_RETURN_IF_ERROR(index->extrib_records_.Restore(size, std::move(table)));
   if (!r.Vec(&index->root_rib_dest_)) return corrupt("root ribs");
-  if (index->root_rib_dest_.size() != alphabet.size()) {
+  if (index->root_rib_dest_.size() != alphabet->size()) {
     return Status::Corruption("root rib table size mismatch");
   }
   std::vector<SlotPair> slots;

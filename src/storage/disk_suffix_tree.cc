@@ -83,21 +83,17 @@ Result<std::unique_ptr<DiskSuffixTree>> DiskSuffixTree::Open(
   if (!r.Pod(&version) || version != kTreeMetaVersion) {
     return Status::Corruption("unsupported metadata version");
   }
-  if (!r.Pod(&kind) || kind > 3 ||
-      kind == static_cast<uint32_t>(Alphabet::Kind::kByte)) {
+  if (!r.Pod(&kind)) return Status::Corruption("bad alphabet kind");
+  Result<Alphabet> alphabet = Alphabet::FromKindCode(kind);
+  if (!alphabet.ok()) return alphabet.status();
+  if (alphabet->kind() == Alphabet::Kind::kByte) {
     return Status::Corruption("bad alphabet kind");
-  }
-  Alphabet alphabet = Alphabet::Dna();
-  if (kind == static_cast<uint32_t>(Alphabet::Kind::kProtein)) {
-    alphabet = Alphabet::Protein();
-  } else if (kind == static_cast<uint32_t>(Alphabet::Kind::kAscii)) {
-    alphabet = Alphabet::Ascii();
   }
   Result<PageFile> file =
       PageFile::Open(path, options.sync_mode, options.backend);
   if (!file.ok()) return file.status();
   std::unique_ptr<DiskSuffixTree> tree(
-      new DiskSuffixTree(alphabet, std::move(file).value(), options));
+      new DiskSuffixTree(*alphabet, std::move(file).value(), options));
   tree->meta_path_ = path + ".meta";
 
   auto corrupt = [&](const char* what) {

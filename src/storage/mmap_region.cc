@@ -188,6 +188,47 @@ Result<std::shared_ptr<MmapRegion>> MmapRegion::MapShared(
   return region;
 }
 
+Result<ImageBytes> MapOrReadImage(const std::string& path, bool map,
+                                  const MmapOptions& options) {
+  ImageBytes image;
+  if (map) {
+    Result<std::shared_ptr<MmapRegion>> region = MmapRegion::MapShared(
+        path, options);
+    if (!region.ok()) return region.status();
+    image.data = (*region)->data();
+    image.size = (*region)->size();
+    image.mapping = *region;
+    image.keepalive = *std::move(region);
+    return image;
+  }
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) {
+    return Status::IoError("cannot open " + path + ": " +
+                           std::strerror(errno));
+  }
+  struct stat st;
+  if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
+    ::close(fd);
+    return Status::IoError("cannot read " + path + ": not a regular file");
+  }
+  image.size = static_cast<uint64_t>(st.st_size);
+  // new[] guarantees max_align, above the loaders' 8.
+  std::shared_ptr<uint8_t[]> buffer(new uint8_t[image.size]);
+  for (uint64_t done = 0; done < image.size;) {
+    const ssize_t got = ::read(fd, buffer.get() + done, image.size - done);
+    if (got < 0 && errno == EINTR) continue;
+    if (got <= 0) {
+      ::close(fd);
+      return Status::IoError("failed reading " + path);
+    }
+    done += static_cast<uint64_t>(got);
+  }
+  ::close(fd);
+  image.data = buffer.get();
+  image.keepalive = std::move(buffer);
+  return image;
+}
+
 // --- MmapIoBackend ---------------------------------------------------------
 
 namespace {

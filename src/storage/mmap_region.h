@@ -6,7 +6,9 @@
 // their tables into the mapping (compact/serializer.h
 // LoadCompactSpineFromMemory), so open time and private resident cost
 // stop scaling with artifact size and many processes share one page
-// cache (the radb string_store / realm-core approach).
+// cache (the radb string_store / realm-core approach). A heap open
+// reads the file into one buffer and runs the same parse over it
+// (MapOrReadImage).
 //
 // SIGBUS policy: a mapped file that shrinks underneath the mapping
 // turns page access into SIGBUS. We cannot intercept that portably, so
@@ -106,6 +108,30 @@ class MmapRegion {
   uint64_t size_ = 0;
   bool locked_ = false;
 };
+
+// An artifact image in memory, as the memory loaders take it
+// (compact/serializer.h LoadCompactSpineFromMemory,
+// GeneralizedCompactSpine::LoadFromMemory).
+struct ImageBytes {
+  const uint8_t* data = nullptr;
+  uint64_t size = 0;
+  // Owns the bytes: the mapping, or the heap buffer. A loaded index
+  // keeps it while any of its tables borrows from the bytes.
+  std::shared_ptr<const void> keepalive;
+  // The mapping whose length fence queries check; null for a heap read.
+  std::shared_ptr<const MmapRegion> mapping;
+
+  // What the image costs this process privately: a heap buffer's size;
+  // 0 for a mapping, whose pages belong to the page cache.
+  uint64_t heap_bytes() const { return mapping == nullptr ? size : 0; }
+};
+
+// Maps `path` through MmapRegion::MapShared(path, options) when `map`
+// is set; otherwise reads the whole file with one read into an
+// 8-aligned heap buffer (the memory loaders need 8-aligned data, which
+// a std::string's buffer does not promise).
+Result<ImageBytes> MapOrReadImage(const std::string& path, bool map,
+                                  const MmapOptions& options = {});
 
 // The process-wide read-only mmap IoBackend (singleton; never
 // deleted). Open(create=true), Write and Sync fail with clean

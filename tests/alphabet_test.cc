@@ -88,6 +88,24 @@ TEST(AlphabetTest, EncodeString) {
   EXPECT_NE(status.message().find("offset 2"), std::string::npos);
 }
 
+// Artifacts record an alphabet by its Kind's numeric value; every
+// format decodes it through FromKindCode.
+TEST(AlphabetTest, FromKindCodeDecodesEveryKindAndRejectsOthers) {
+  for (const Alphabet& want : {Alphabet::Dna(), Alphabet::Protein(),
+                               Alphabet::Byte(), Alphabet::Ascii()}) {
+    Result<Alphabet> got =
+        Alphabet::FromKindCode(static_cast<uint32_t>(want.kind()));
+    ASSERT_TRUE(got.ok()) << want.name();
+    EXPECT_EQ(got->kind(), want.kind());
+    EXPECT_EQ(got->size(), want.size());
+  }
+  for (const uint32_t code : {4u, 0xffffffffu}) {
+    Result<Alphabet> got = Alphabet::FromKindCode(code);
+    ASSERT_FALSE(got.ok()) << code;
+    EXPECT_EQ(got.status().code(), StatusCode::kCorruption);
+  }
+}
+
 class PackedStringTest : public ::testing::TestWithParam<uint32_t> {};
 
 TEST_P(PackedStringTest, RoundTripsRandomCodes) {

@@ -388,9 +388,13 @@ class SerializerCorruptionTest : public ::testing::Test {
     image_ = out.str();
   }
 
+  // A heap open: the bytes in an 8-aligned buffer, parsed in place.
   StatusCode LoadCodeFor(const std::string& bytes) {
-    std::istringstream in(bytes);
-    Result<CompactSpineIndex> loaded = LoadCompactSpineFromStream(in);
+    std::vector<uint64_t> buffer(bytes.size() / 8 + 1);
+    std::memcpy(buffer.data(), bytes.data(), bytes.size());
+    Result<CompactSpineIndex> loaded = LoadCompactSpineFromMemory(
+        reinterpret_cast<const uint8_t*>(buffer.data()), bytes.size(),
+        /*verify=*/true, nullptr);
     return loaded.ok() ? StatusCode::kOk : loaded.status().code();
   }
 

@@ -61,48 +61,60 @@ int Fail(const std::string& what, const std::string& s,
   return 1;
 }
 
+// Applies one random truncation / bit flip / byte overwrite to `bytes`.
+void MutateBytes(spine::Rng& rng, std::string* bytes) {
+  switch (rng.Below(3)) {
+    case 0:  // truncation (including an empty file)
+      bytes->resize(rng.Below(bytes->size() + 1));
+      break;
+    case 1:  // single bit flip
+      if (!bytes->empty()) {
+        size_t pos = rng.Below(bytes->size());
+        (*bytes)[pos] = static_cast<char>(
+            static_cast<unsigned char>((*bytes)[pos]) ^ (1u << rng.Below(8)));
+      }
+      break;
+    default:  // random byte overwrite
+      if (!bytes->empty()) {
+        (*bytes)[rng.Below(bytes->size())] =
+            static_cast<char>(rng.Below(256));
+      }
+      break;
+  }
+}
+
 // Image-robustness phase: serialize the index, corrupt the bytes, and
-// demand that LoadCompactSpine either rejects the image with a clean
+// demand that the memory loader either rejects the image with a clean
 // Status or yields an index that still answers correctly — it must
-// never crash and never silently return a broken index. Every mutated
-// image is also opened through the zero-copy mmap path (PR 8), which
-// must reach exactly the heap path's verdict, and when both load,
-// exactly its answers.
+// never crash and never silently return a broken index. Every image is
+// opened twice, from an 8-aligned heap buffer (a heap open) and from a
+// mapping (an mmap open): both must reach the same verdict and, when
+// both load, the same answers. Every image that loads must save back to
+// exactly its input bytes, since saved bytes are canonical.
 int FuzzSerializedImage(spine::Rng& rng, const spine::CompactSpineIndex& index,
                         const std::string& s, uint64_t* checks) {
   using namespace spine;
-  std::ostringstream saved;
-  if (!SaveCompactSpineToStream(index, saved).ok()) {
-    return Fail("image save failed", s, "");
-  }
-  const std::string image = saved.str();
+  const auto save = [](const CompactSpineIndex& loaded) {
+    std::ostringstream out;
+    return SaveCompactSpineToStream(loaded, out).ok() ? out.str()
+                                                      : std::string();
+  };
+  const std::string image = save(index);
+  if (image.empty()) return Fail("image save failed", s, "");
   const std::string mmap_path =
       (std::filesystem::temp_directory_path() /
        ("spine_fuzz_img_" + std::to_string(::getpid()) + ".tmp"))
           .string();
-  for (int trial = 0; trial < 6; ++trial) {
+  for (int trial = 0; trial < 7; ++trial) {
     ++*checks;
+    // The first trial opens the image as saved.
     std::string mutated = image;
-    switch (rng.Below(3)) {
-      case 0:  // truncation (including an empty file)
-        mutated.resize(rng.Below(mutated.size() + 1));
-        break;
-      case 1:  // single bit flip
-        if (!mutated.empty()) {
-          size_t pos = rng.Below(mutated.size());
-          mutated[pos] = static_cast<char>(
-              static_cast<unsigned char>(mutated[pos]) ^ (1u << rng.Below(8)));
-        }
-        break;
-      default:  // random byte overwrite
-        if (!mutated.empty()) {
-          mutated[rng.Below(mutated.size())] =
-              static_cast<char>(rng.Below(256));
-        }
-        break;
-    }
-    std::istringstream in(mutated);
-    Result<CompactSpineIndex> loaded = LoadCompactSpineFromStream(in);
+    if (trial > 0) MutateBytes(rng, &mutated);
+    std::vector<uint64_t> heap(mutated.size() / 8 + 1);
+    std::memcpy(heap.data(), mutated.data(), mutated.size());
+    Result<CompactSpineIndex> loaded = LoadCompactSpineFromMemory(
+        reinterpret_cast<const uint8_t*>(heap.data()), mutated.size(),
+        /*verify=*/true, nullptr);
     const StatusCode heap_code =
         loaded.ok() ? StatusCode::kOk : loaded.status().code();
 
@@ -126,9 +138,9 @@ int FuzzSerializedImage(spine::Rng& rng, const spine::CompactSpineIndex& index,
       return Fail("heap/mmap image verdicts diverge", s, "");
     }
     if (!loaded.ok()) continue;  // clean rejection is a pass (both paths)
-    // The mutation survived loading (e.g. it restored the original
-    // bytes); whatever came back must still answer correctly — on both
-    // open paths.
+    // The image loaded (unmutated, or a mutation that restored the
+    // original bytes); whatever came back must still answer correctly —
+    // on both open paths — and save back to the bytes it came from.
     std::string pattern = s.substr(0, std::min<size_t>(s.size(), 4));
     if (loaded->FindAll(pattern) != naive::FindAllOccurrences(s, pattern)) {
       return Fail("mutated image loaded but answers wrong", s, pattern);
@@ -136,30 +148,12 @@ int FuzzSerializedImage(spine::Rng& rng, const spine::CompactSpineIndex& index,
     if (mapped->FindAll(pattern) != loaded->FindAll(pattern)) {
       return Fail("mmap-opened mutated image answers differently", s, pattern);
     }
+    if (save(*loaded) != mutated || save(*mapped) != mutated) {
+      return Fail("loaded image does not save back to its bytes", s, "");
+    }
   }
+  std::filesystem::remove(mmap_path);
   return 0;
-}
-
-// Applies one random truncation / bit flip / byte overwrite to `bytes`.
-void MutateBytes(spine::Rng& rng, std::string* bytes) {
-  switch (rng.Below(3)) {
-    case 0:  // truncation (including an empty file)
-      bytes->resize(rng.Below(bytes->size() + 1));
-      break;
-    case 1:  // single bit flip
-      if (!bytes->empty()) {
-        size_t pos = rng.Below(bytes->size());
-        (*bytes)[pos] = static_cast<char>(
-            static_cast<unsigned char>((*bytes)[pos]) ^ (1u << rng.Below(8)));
-      }
-      break;
-    default:  // random byte overwrite
-      if (!bytes->empty()) {
-        (*bytes)[rng.Below(bytes->size())] =
-            static_cast<char>(rng.Below(256));
-      }
-      break;
-  }
 }
 
 // Manifest-robustness phase: save a sharded family, corrupt the
